@@ -15,6 +15,12 @@ import numpy as np
 from .errors import InvalidInput
 
 
+# Largest accepted tolerance: far above the shipped 1e-12/1e-9/1e-8, far
+# below the -1/2 slack of the remark-3.6 counterexample.  A larger or
+# non-finite value would let every chain pass vacuously.
+MAX_TOLERANCE = 1e-3
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Slack tolerance: a chain passes when every consecutive difference is
@@ -22,12 +28,18 @@ class ToleranceConfig:
 
     ``eps_rel_omega`` replaces ``eps_rel`` for chains whose terms include a
     numerical radius, since those values carry the sweep's own convergence
-    error on top of roundoff.
+    error on top of roundoff.  Every value must lie in (0, MAX_TOLERANCE].
     """
 
     eps_abs: float = 1e-12
     eps_rel: float = 1e-9
     eps_rel_omega: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("eps_abs", "eps_rel", "eps_rel_omega"):
+            value = getattr(self, name)
+            if not 0.0 < value <= MAX_TOLERANCE:
+                raise InvalidInput(f"tolerance {name} must lie in (0, {MAX_TOLERANCE:g}], got {value!r}")
 
     def slack_floor(self, terms: Sequence[float], omega_grade: bool) -> float:
         rel = self.eps_rel_omega if omega_grade else self.eps_rel
@@ -116,15 +128,3 @@ class AngleResult:
     psi: float
     cos_phi: float
     phi: float
-
-    def to_dict(self) -> dict:
-        return {
-            "cos_psi": self.cos_psi,
-            "psi": self.psi,
-            "cos_phi": self.cos_phi,
-            "phi": self.phi,
-        }
-
-
-def clamped_acos(value: float) -> float:
-    return float(np.arccos(min(1.0, max(-1.0, value))))

@@ -10,21 +10,8 @@ import argparse
 import json
 import sys
 
-from .chains import ToleranceConfig
-from .ensembles import EnsembleConfig
-from .errors import DimensionMismatch, IneqLabError, InvalidInput, PreconditionError
-from .harness import (
-    REGISTRY,
-    check_single,
-    default_config,
-    derive_entry_seed,
-    execute_plans,
-    parse_config,
-    run_all,
-    suite_names,
-    write_csv,
-    write_report,
-)
+from .errors import DimensionMismatch, IneqLabError, PreconditionError
+from .harness import check_single, default_config, run_all, suite_names
 from .linalg import load_matrix, operator_norm, vector_to_json_dict
 from .radius import RadiusSweepConfig, numerical_radius
 
@@ -75,41 +62,24 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    return run_all(
+        args.config if args.config is not None else _flag_config(args),
+        jobs=args.jobs,
+        output_override=args.out,
+        csv_path=args.csv,
+        progress=print,
+    )
 
-    if args.config is not None:
-        return run_all(
-            args.config,
-            jobs=args.jobs,
-            output_override=args.out,
-            csv_path=args.csv,
-            progress=print,
-        )
 
-    try:
-        if args.suite is not None:
-            spec = REGISTRY[args.suite]
-            family = args.family if args.family is not None else spec.family
-            dim = args.dim if args.dim is not None else spec.default_dim
-            trials = args.trials if args.trials is not None else spec.default_trials
-            seed = args.seed if args.seed is not None else derive_entry_seed(spec.name, dim)
-            ensemble = EnsembleConfig(family=family, dim=dim, master_seed=seed, trials=trials)
-            plans = [(spec, ensemble)]
-            tol = ToleranceConfig()
-        else:
-            tol, plans, _ = parse_config(default_config())
-        reports, all_ok = execute_plans(plans, tol, jobs=args.jobs, progress=print)
-        destination = args.out if args.out is not None else "report.json"
-        write_report(reports, destination)
-        if args.csv is not None:
-            write_csv(reports, args.csv)
-        print(f"report written to {destination}")
-    except IneqLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if all_ok else 1
+def _flag_config(args) -> dict:
+    """Config document for ``--suite`` and its flags, or the default plan."""
+    if args.suite is None:
+        return default_config()
+    entry = {"suite": args.suite}
+    for key in ("family", "dim", "trials", "seed"):
+        if getattr(args, key) is not None:
+            entry[key] = getattr(args, key)
+    return {"suites": [entry]}
 
 
 def _cmd_check(args) -> int:

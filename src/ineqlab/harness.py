@@ -1,9 +1,11 @@
 """Suite runner: enumerates checks over seeded ensembles, aggregates slack
 statistics, and emits deterministic JSON/CSV reports.
 
-A suite pairs one registered check with one ensemble recipe.  Each trial
-derives a private stream from (master_seed, trial_index), draws the check's
-inputs in a pinned order, and evaluates the chain.  Reports are therefore a
+Every suite is one ``SuiteSpec`` row of ``REGISTRY``: the ensemble families
+of its chain inputs in a pinned draw order, and the chain they feed.  Each
+trial derives a private stream from (master_seed, trial_index), draws the
+row's inputs, and evaluates the chain; ``check_single`` loads the same
+inputs from JSON files and calls the same chain.  Reports are therefore a
 pure function of the config, except for the runtime fields.
 
 One suite is special: ``remark36_counterexample`` evaluates a bound on a
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +39,7 @@ SCHEMA_VERSION = 1
 TIGHTEST_KEEP = 5
 PSI_GRID = 3600
 ORACLE_SUITE_SAMPLES = 512
+ORACLE_CHECK_SAMPLES = 10000
 COUNTEREXAMPLE_SLACK = -0.5
 COUNTEREXAMPLE_TOL = 1e-12
 
@@ -50,96 +54,54 @@ _COUNTEREXAMPLE_Y = [1.0, 0.0]
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """One registered suite: the ensemble family it needs, the per-trial
-    evaluator, and whether a violation is the expected outcome."""
+    """One registered suite, read by both the random-trial runner and
+    single-check mode.
+
+    ``draws`` names the ensemble family of each chain input in the pinned
+    draw order; the first one is the suite's family.  ``order`` maps draw
+    positions to argument positions where the two differ.  ``chain`` gets
+    the inputs positionally, then ``tolerance`` and the fixed ``kwargs``.
+
+    Two suites need more than a draw:
+
+    * ``suite_inputs``: suite runs evaluate these fixed inputs on every
+      trial instead of drawing (the counterexample); ``draws`` then only
+      gives the input kinds for check mode.
+    * ``suite_samples``: suite runs draw one extra raw word as the oracle
+      seed and pass it with this sample count in place of ``kwargs``.
+    """
 
     name: str
-    family: str
-    evaluate: Callable[[Stream, int, ToleranceConfig], ChainResult]
+    draws: tuple[str, ...]
+    chain: Callable[..., ChainResult]
+    kwargs: dict = field(default_factory=dict)
+    order: tuple[int, ...] | None = None
     expect_violation: bool = False
     default_dim: int = 4
     default_trials: int = 500
+    suite_inputs: tuple | None = None
+    suite_samples: int | None = None
+
+    @property
+    def family(self) -> str:
+        return self.draws[0]
+
+    def arranged(self, inputs: Sequence) -> list:
+        """Inputs in draw order, rearranged into argument order."""
+        return list(inputs) if self.order is None else [inputs[i] for i in self.order]
+
+    def evaluate(self, stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
+        """One random trial: draw the inputs from ``stream`` and evaluate the chain."""
+        if self.suite_inputs is not None:
+            return self.chain(*self.suite_inputs, tolerance=tol, **self.kwargs)
+        inputs = self.arranged([draw(family, stream, dim) for family in self.draws])
+        kwargs = self.kwargs
+        if self.suite_samples is not None:
+            kwargs = {"samples": self.suite_samples, "seed": int(stream.raw(1)[0])}
+        return self.chain(*inputs, tolerance=tol, **kwargs)
 
 
-def _vectors_eval(chain_fn, count: int):
-    def run(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-        vecs = [draw("unit_vector", stream, dim) for _ in range(count)]
-        return chain_fn(*vecs, tolerance=tol)
-
-    return run
-
-
-def _psi_infimum_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    x = draw("unit_vector", stream, dim)
-    y = draw("unit_vector", stream, dim)
-    return vec_ineq.psi_infimum_property(x, y, PSI_GRID, tolerance=tol)
-
-
-def _projection_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    proj = draw("projection", stream, dim)
-    x = draw("unit_vector", stream, dim)
-    y = draw("unit_vector", stream, dim)
-    return vec_ineq.projection_buzano(proj, x, y, tolerance=tol)
-
-
-def _operator_xy_eval(chain_fn, family: str, **kwargs):
-    def run(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-        a = draw(family, stream, dim)
-        x = draw("unit_vector", stream, dim)
-        y = draw("unit_vector", stream, dim)
-        return chain_fn(a, x, y, tolerance=tol, **kwargs)
-
-    return run
-
-
-def _corollary37_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    b = draw("psd", stream, dim)
-    a = draw("ginibre", stream, dim)
-    return op_ineq.corollary37_chain(a, b, tolerance=tol)
-
-
-def _sandwich_eval(chain_fn, **kwargs):
-    def run(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-        a = draw("positive_contraction", stream, dim)
-        s = draw("ginibre", stream, dim)
-        t = draw("ginibre", stream, dim)
-        return chain_fn(a, s, t, tolerance=tol, **kwargs)
-
-    return run
-
-
-def _power_eval(r: float):
-    def run(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-        a = draw("positive_contraction", stream, dim)
-        s = draw("ginibre", stream, dim)
-        t = draw("ginibre", stream, dim)
-        return op_ineq.power_chain(a, s, t, r, tolerance=tol)
-
-    return run
-
-
-def _bourin_eval(r: float):
-    def run(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-        m = draw("psd", stream, dim)
-        n = draw("psd", stream, dim)
-        return op_ineq.bourin_property(m, n, r, tolerance=tol)
-
-    return run
-
-
-def _final_omega_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    t = draw("ginibre", stream, dim)
-    return op_ineq.final_omega_refinement_chain(t, tolerance=tol)
-
-
-def _remark36_polar_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    a = draw("ginibre", stream, dim)
-    x = draw("unit_vector", stream, dim)
-    y = draw("unit_vector", stream, dim)
-    return op_ineq.remark36_polar_chain(a, x, y, tolerance=tol)
-
-
-def _omega_oracle_chain(matrix, samples: int, seed: int, tol: ToleranceConfig) -> ChainResult:
+def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: int) -> ChainResult:
     """Cross-check chain: sampled max quadratic form <= omega <= norm."""
     oracle = numerical_radius_sampling_oracle(matrix, samples, seed)
     omega = numerical_radius(matrix).omega
@@ -150,56 +112,54 @@ def _omega_oracle_chain(matrix, samples: int, seed: int, tol: ToleranceConfig) -
             ("omega_sweep", omega),
             ("operator_norm", operator_norm(matrix)),
         ],
-        tol,
+        tolerance,
         omega_grade=True,
     )
 
 
-def _omega_oracle_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    t = draw("ginibre", stream, dim)
-    oracle_seed = int(stream.raw(1)[0])
-    return _omega_oracle_chain(t, ORACLE_SUITE_SAMPLES, oracle_seed, tol)
-
-
-def _counterexample_eval(stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-    return op_ineq.remark36_scaled_unchecked(
-        _COUNTEREXAMPLE_A, _COUNTEREXAMPLE_X, _COUNTEREXAMPLE_Y, tolerance=tol
-    )
-
-
 def _build_registry() -> dict[str, SuiteSpec]:
+    v, xy = "unit_vector", ("unit_vector", "unit_vector")
+    sandwich = ("positive_contraction", "ginibre", "ginibre")
     specs = [
-        SuiteSpec("buzano", "unit_vector", _vectors_eval(vec_ineq.buzano_chain, 3), default_trials=1000),
-        SuiteSpec("lemma21", "unit_vector", _vectors_eval(vec_ineq.lemma21_chain, 3), default_trials=1000),
-        SuiteSpec("cs_refinement", "unit_vector", _vectors_eval(vec_ineq.cs_refinement_chain, 3), default_trials=1000),
-        SuiteSpec("krein_triangle", "unit_vector", _vectors_eval(vec_ineq.krein_triangle, 3), default_trials=1000),
-        SuiteSpec("lin_triangle_refined", "unit_vector", _vectors_eval(vec_ineq.lin_triangle_refined, 3), default_trials=1000),
-        SuiteSpec("psi_infimum", "unit_vector", _psi_infimum_eval, default_trials=1000),
-        SuiteSpec("projection_buzano", "projection", _projection_eval, default_trials=1000),
-        SuiteSpec("lemma_2A", "psd", _operator_xy_eval(op_ineq.lemma_2A_chain, "psd")),
-        SuiteSpec("theorem_gap", "positive_contraction", _operator_xy_eval(op_ineq.theorem_gap_chain, "positive_contraction")),
-        SuiteSpec("corollary33", "positive_contraction", _operator_xy_eval(op_ineq.corollary33_chain, "positive_contraction")),
-        SuiteSpec("corollary33_scaled", "psd", _operator_xy_eval(op_ineq.corollary33_chain, "psd", scaled=True)),
-        SuiteSpec("corollary35", "positive_contraction", _operator_xy_eval(op_ineq.corollary35_chain, "positive_contraction")),
-        SuiteSpec("remark36_scaled", "psd", _operator_xy_eval(op_ineq.remark36_scaled, "psd")),
-        SuiteSpec("remark36_polar", "ginibre", _remark36_polar_eval),
-        SuiteSpec("corollary37", "psd", _corollary37_eval, default_trials=200),
-        SuiteSpec("corollary38_omega", "positive_contraction", _sandwich_eval(op_ineq.corollary38_omega_chain), default_trials=200),
-        SuiteSpec("corollary38_norm", "positive_contraction", _sandwich_eval(op_ineq.corollary38_norm_chain)),
-        SuiteSpec("power_r1", "positive_contraction", _power_eval(1.0), default_trials=200),
-        SuiteSpec("power_r2", "positive_contraction", _power_eval(2.0), default_trials=200),
-        SuiteSpec("power_r3", "positive_contraction", _power_eval(3.0), default_trials=200),
-        SuiteSpec("bourin_r1", "psd", _bourin_eval(1.0)),
-        SuiteSpec("bourin_r2", "psd", _bourin_eval(2.0)),
-        SuiteSpec("final_omega_refinement", "ginibre", _final_omega_eval, default_trials=200),
-        SuiteSpec("omega_oracle", "ginibre", _omega_oracle_eval, default_trials=200),
+        SuiteSpec("buzano", (v, v, v), vec_ineq.buzano_chain, default_trials=1000),
+        SuiteSpec("lemma21", (v, v, v), vec_ineq.lemma21_chain, default_trials=1000),
+        SuiteSpec("cs_refinement", (v, v, v), vec_ineq.cs_refinement_chain, default_trials=1000),
+        SuiteSpec("krein_triangle", (v, v, v), vec_ineq.krein_triangle, default_trials=1000),
+        SuiteSpec("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined, default_trials=1000),
+        SuiteSpec("psi_infimum", (v, v), vec_ineq.psi_infimum_property, {"grid": PSI_GRID}, default_trials=1000),
+        SuiteSpec("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano, default_trials=1000),
+        SuiteSpec("lemma_2A", ("psd", *xy), op_ineq.lemma_2A_chain),
+        SuiteSpec("theorem_gap", ("positive_contraction", *xy), op_ineq.theorem_gap_chain),
+        SuiteSpec("corollary33", ("positive_contraction", *xy), op_ineq.corollary33_chain),
+        SuiteSpec("corollary33_scaled", ("psd", *xy), op_ineq.corollary33_chain, {"scaled": True}),
+        SuiteSpec("corollary35", ("positive_contraction", *xy), op_ineq.corollary35_chain),
+        SuiteSpec("remark36_scaled", ("psd", *xy), op_ineq.remark36_scaled),
+        SuiteSpec("remark36_polar", ("ginibre", *xy), op_ineq.remark36_polar_chain),
+        SuiteSpec("corollary37", ("psd", "ginibre"), op_ineq.corollary37_chain, order=(1, 0), default_trials=200),
+        SuiteSpec("corollary38_omega", sandwich, op_ineq.corollary38_omega_chain, default_trials=200),
+        SuiteSpec("corollary38_norm", sandwich, op_ineq.corollary38_norm_chain),
+        SuiteSpec("power_r1", sandwich, op_ineq.power_chain, {"power": 1.0}, default_trials=200),
+        SuiteSpec("power_r2", sandwich, op_ineq.power_chain, {"power": 2.0}, default_trials=200),
+        SuiteSpec("power_r3", sandwich, op_ineq.power_chain, {"power": 3.0}, default_trials=200),
+        SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_property, {"power": 1.0}),
+        SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_property, {"power": 2.0}),
+        SuiteSpec("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_chain, default_trials=200),
+        SuiteSpec(
+            "omega_oracle",
+            ("ginibre",),
+            _omega_oracle_chain,
+            {"samples": ORACLE_CHECK_SAMPLES, "seed": 0},
+            default_trials=200,
+            suite_samples=ORACLE_SUITE_SAMPLES,
+        ),
         SuiteSpec(
             "remark36_counterexample",
-            "ginibre",
-            _counterexample_eval,
+            ("ginibre", *xy),
+            op_ineq.remark36_scaled_unchecked,
             expect_violation=True,
             default_dim=2,
             default_trials=1,
+            suite_inputs=(_COUNTEREXAMPLE_A, _COUNTEREXAMPLE_X, _COUNTEREXAMPLE_Y),
         ),
     ]
     return {spec.name: spec for spec in specs}
@@ -360,10 +320,7 @@ def _parse_tolerance(block) -> ToleranceConfig:
                 values[key] = float(block[key])
             except (TypeError, ValueError):
                 raise InvalidInput(f"config: tolerance.{key} must be a number") from None
-    tol = ToleranceConfig(**values)
-    if not (tol.eps_abs > 0 and tol.eps_rel > 0 and tol.eps_rel_omega > 0):
-        raise InvalidInput("config: tolerance values must all be positive")
-    return tol
+    return ToleranceConfig(**values)
 
 
 def parse_config(raw) -> tuple[ToleranceConfig, list[tuple[SuiteSpec, EnsembleConfig]], str]:
@@ -468,45 +425,42 @@ def execute_plans(
     return reports, all_ok
 
 
+def _read_config(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"config {path} is not valid JSON: {exc}") from None
+
+
 def run_all(
-    config_path: str,
+    config_path: str | dict,
     jobs: int = 1,
     output_override: str | None = None,
     csv_path: str | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> int:
-    """Run every suite in a config file; returns the process exit code."""
+    """Run every suite of a config; returns the process exit code.
+
+    ``config_path`` is a config file or an already built config document.
+    Suite lines and the final ``report written to`` line go to
+    ``progress``; every ``error:`` line goes to stderr.
+    """
     try:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        if progress is not None:
-            progress(f"error: cannot read config {config_path}: {exc}")
-        return 2
-    except json.JSONDecodeError as exc:
-        if progress is not None:
-            progress(f"error: config {config_path} is not valid JSON: {exc}")
-        return 2
-    try:
+        raw = _read_config(config_path) if isinstance(config_path, str) else config_path
         tol, plans, output = parse_config(raw)
-    except IneqLabError as exc:
-        if progress is not None:
-            progress(f"error: {exc}")
-        return 2
-    try:
         reports, all_ok = execute_plans(plans, tol, jobs=jobs, progress=progress)
-    except IneqLabError as exc:
-        if progress is not None:
-            progress(f"error: {exc}")
-        return 2
-    destination = output_override if output_override is not None else output
-    try:
+        destination = output_override if output_override is not None else output
         write_report(reports, destination)
         if csv_path is not None:
             write_csv(reports, csv_path)
+    except IneqLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
-        if progress is not None:
-            progress(f"error: cannot write report: {exc}")
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
     if progress is not None:
         progress(f"report written to {destination}")
@@ -515,36 +469,6 @@ def run_all(
 
 # ---------------------------------------------------------------------------
 # single-check evaluation
-
-_M, _V = "matrix", "vector"
-
-_CHECK_INPUTS: dict[str, tuple[tuple[str, ...], Callable[..., ChainResult]]] = {
-    "buzano": ((_V, _V, _V), lambda x, y, z, tol: vec_ineq.buzano_chain(x, y, z, tolerance=tol)),
-    "lemma21": ((_V, _V, _V), lambda x, y, z, tol: vec_ineq.lemma21_chain(x, y, z, tolerance=tol)),
-    "cs_refinement": ((_V, _V, _V), lambda x, y, z, tol: vec_ineq.cs_refinement_chain(x, y, z, tolerance=tol)),
-    "krein_triangle": ((_V, _V, _V), lambda x, y, z, tol: vec_ineq.krein_triangle(x, y, z, tolerance=tol)),
-    "lin_triangle_refined": ((_V, _V, _V), lambda x, y, z, tol: vec_ineq.lin_triangle_refined(x, y, z, tolerance=tol)),
-    "psi_infimum": ((_V, _V), lambda x, y, tol: vec_ineq.psi_infimum_property(x, y, PSI_GRID, tolerance=tol)),
-    "projection_buzano": ((_M, _V, _V), lambda p, x, y, tol: vec_ineq.projection_buzano(p, x, y, tolerance=tol)),
-    "lemma_2A": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.lemma_2A_chain(a, x, y, tolerance=tol)),
-    "theorem_gap": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.theorem_gap_chain(a, x, y, tolerance=tol)),
-    "corollary33": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.corollary33_chain(a, x, y, tolerance=tol)),
-    "corollary33_scaled": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.corollary33_chain(a, x, y, scaled=True, tolerance=tol)),
-    "corollary35": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.corollary35_chain(a, x, y, tolerance=tol)),
-    "remark36_scaled": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.remark36_scaled(a, x, y, tolerance=tol)),
-    "remark36_counterexample": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.remark36_scaled_unchecked(a, x, y, tolerance=tol)),
-    "remark36_polar": ((_M, _V, _V), lambda a, x, y, tol: op_ineq.remark36_polar_chain(a, x, y, tolerance=tol)),
-    "corollary37": ((_M, _M), lambda a, b, tol: op_ineq.corollary37_chain(a, b, tolerance=tol)),
-    "corollary38_omega": ((_M, _M, _M), lambda a, s, t, tol: op_ineq.corollary38_omega_chain(a, s, t, tolerance=tol)),
-    "corollary38_norm": ((_M, _M, _M), lambda a, s, t, tol: op_ineq.corollary38_norm_chain(a, s, t, tolerance=tol)),
-    "power_r1": ((_M, _M, _M), lambda a, s, t, tol: op_ineq.power_chain(a, s, t, 1.0, tolerance=tol)),
-    "power_r2": ((_M, _M, _M), lambda a, s, t, tol: op_ineq.power_chain(a, s, t, 2.0, tolerance=tol)),
-    "power_r3": ((_M, _M, _M), lambda a, s, t, tol: op_ineq.power_chain(a, s, t, 3.0, tolerance=tol)),
-    "bourin_r1": ((_M, _M), lambda m, n, tol: op_ineq.bourin_property(m, n, 1.0, tolerance=tol)),
-    "bourin_r2": ((_M, _M), lambda m, n, tol: op_ineq.bourin_property(m, n, 2.0, tolerance=tol)),
-    "final_omega_refinement": ((_M,), lambda t, tol: op_ineq.final_omega_refinement_chain(t, tolerance=tol)),
-    "omega_oracle": ((_M,), lambda t, tol: _omega_oracle_chain(t, 10000, 0, tol)),
-}
 
 
 def check_single(
@@ -556,18 +480,18 @@ def check_single(
     caller maps the typed errors to exit codes.
     """
     try:
-        kinds, runner = _CHECK_INPUTS[check_name]
+        spec = REGISTRY[check_name]
     except KeyError:
         raise InvalidInput(
-            f"unknown check {check_name!r}; available: {', '.join(sorted(_CHECK_INPUTS))}"
+            f"unknown check {check_name!r}; available: {', '.join(sorted(REGISTRY))}"
         ) from None
+    # Unit vectors load as vectors, every other family as a matrix.
+    kinds = ["vector" if family == "unit_vector" else "matrix" for family in spec.arranged(spec.draws)]
     if len(input_files) != len(kinds):
         raise InvalidInput(
             f"check {check_name!r} expects {len(kinds)} input file(s) "
             f"({', '.join(kinds)}); got {len(input_files)}"
         )
-    loaded = []
-    for kind, path in zip(kinds, input_files):
-        loaded.append(load_matrix(path) if kind == _M else load_vector(path))
+    loaded = [load_vector(path) if kind == "vector" else load_matrix(path) for kind, path in zip(kinds, input_files)]
     tolerance = tol if tol is not None else ToleranceConfig()
-    return runner(*loaded, tolerance)
+    return spec.chain(*loaded, tolerance=tolerance, **spec.kwargs)

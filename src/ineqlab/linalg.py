@@ -102,20 +102,7 @@ def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vnam
 
 
 # ---------------------------------------------------------------------------
-# scalars
-
-
-def inner(x, y) -> complex:
-    """Inner product, linear in the first slot: sum_j x_j * conj(y_j)."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    require_same_length(("x", xv), ("y", yv))
-    return complex(np.vdot(yv, xv))
-
-
-def norm(x) -> float:
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(as_vector(x, "x")))
+# Hermitian checks
 
 
 def hermitian_deviation(matrix: np.ndarray) -> float:
@@ -281,17 +268,6 @@ def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
 def psd_sqrt(matrix, name: str = "matrix") -> np.ndarray:
     """Positive semidefinite square root via the spectral decomposition."""
     return psd_power(matrix, 0.5, name)
-
-
-def modulus(matrix) -> np.ndarray:
-    """|M| = (M* M)^(1/2), computed from the singular value decomposition.
-
-    Using the SVD factors directly (right @ diag(s) @ right*) avoids squaring
-    the condition number the way forming M* M first would.
-    """
-    fac = svd(matrix)
-    result = (fac.right * fac.singular_values) @ fac.right.conj().T
-    return 0.5 * (result + result.conj().T)
 
 
 def polar_decompose(matrix) -> PolarDecomposition:

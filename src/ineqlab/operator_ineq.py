@@ -11,8 +11,6 @@ counterexample can be reproduced and recorded as a genuine violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chains import ChainResult, ToleranceConfig, make_chain
@@ -31,24 +29,15 @@ from .linalg import (
     require_positive_semidefinite,
     require_same_length,
 )
-from .radius import DEFAULT_SWEEP, RadiusSweepConfig, numerical_radius
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Exponent for the power-inequality checks; only r >= 1 is covered."""
-
-    r: float = 1.0
-
-    def __post_init__(self):
-        if not (self.r >= 1.0):
-            raise InvalidInput(f"power exponent must satisfy r >= 1, got {self.r}")
+from .radius import numerical_radius
 
 
 def _as_power(power) -> float:
-    if isinstance(power, PowerParams):
-        return float(power.r)
-    return float(PowerParams(float(power)).r)
+    """Exponent for the power-inequality checks; only r >= 1 is covered."""
+    r = float(power)
+    if not (r >= 1.0):
+        raise InvalidInput(f"power exponent must satisfy r >= 1, got {r}")
+    return r
 
 
 def _power_tag(r: float) -> str:
@@ -229,12 +218,7 @@ def remark36_polar_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     )
 
 
-def corollary37_chain(
-    A,
-    B,
-    tolerance: ToleranceConfig | None = None,
-    sweep: RadiusSweepConfig | None = None,
-) -> ChainResult:
+def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Numerical radius of a product against a positive factor.
 
     omega(AB) <= (||B||/2)(omega(A) + ||A||) <= (3/2) ||B|| omega(A).
@@ -245,9 +229,8 @@ def corollary37_chain(
         raise InvalidInput(
             f"A has shape {mat_a.shape} but B has shape {sym_b.shape}"
         )
-    cfg = sweep if sweep is not None else DEFAULT_SWEEP
-    omega_ab = numerical_radius(mat_a @ sym_b, cfg).omega
-    omega_a = numerical_radius(mat_a, cfg).omega
+    omega_ab = numerical_radius(mat_a @ sym_b).omega
+    omega_a = numerical_radius(mat_a).omega
     norm_a = operator_norm(mat_a)
     norm_b = operator_norm(sym_b)
     return make_chain(
@@ -273,21 +256,14 @@ def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sym_a, mat_s, mat_t
 
 
-def corollary38_omega_chain(
-    A,
-    S,
-    T,
-    tolerance: ToleranceConfig | None = None,
-    sweep: RadiusSweepConfig | None = None,
-) -> ChainResult:
+def corollary38_omega_chain(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Sandwiched numerical radius bound:
 
     omega(S A T) <= (1/4) || |T|^2 + |S*|^2 || + (1/2) omega(S T).
     """
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    cfg = sweep if sweep is not None else DEFAULT_SWEEP
-    omega_sat = numerical_radius(mat_s @ sym_a @ mat_t, cfg).omega
-    omega_st = numerical_radius(mat_s @ mat_t, cfg).omega
+    omega_sat = numerical_radius(mat_s @ sym_a @ mat_t).omega
+    omega_st = numerical_radius(mat_s @ mat_t).omega
     mod_t_sq = mat_t.conj().T @ mat_t
     mod_s_adj_sq = mat_s @ mat_s.conj().T
     bound = 0.25 * operator_norm(mod_t_sq + mod_s_adj_sq) + 0.5 * omega_st
@@ -311,14 +287,7 @@ def corollary38_norm_chain(A, S, T, tolerance: ToleranceConfig | None = None) ->
     )
 
 
-def power_chain(
-    A,
-    S,
-    T,
-    power,
-    tolerance: ToleranceConfig | None = None,
-    sweep: RadiusSweepConfig | None = None,
-) -> ChainResult:
+def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Power form of the sandwich bound, r >= 1:
 
     omega(S A T)^r <= (1/4) || |T|^{2r} + |S*|^{2r} || + (1/2) omega(S T)^r.
@@ -328,9 +297,8 @@ def power_chain(
     """
     r = _as_power(power)
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    cfg = sweep if sweep is not None else DEFAULT_SWEEP
-    omega_sat = numerical_radius(mat_s @ sym_a @ mat_t, cfg).omega
-    omega_st = numerical_radius(mat_s @ mat_t, cfg).omega
+    omega_sat = numerical_radius(mat_s @ sym_a @ mat_t).omega
+    omega_st = numerical_radius(mat_s @ mat_t).omega
     mod_t_2r = psd_power(mat_t.conj().T @ mat_t, r, "T*T")
     mod_s_adj_2r = psd_power(mat_s @ mat_s.conj().T, r, "SS*")
     bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * omega_st**r
@@ -380,11 +348,7 @@ def contraction_builder(A) -> np.ndarray:
     return 0.5 * (eye + root)
 
 
-def final_omega_refinement_chain(
-    T,
-    tolerance: ToleranceConfig | None = None,
-    sweep: RadiusSweepConfig | None = None,
-) -> ChainResult:
+def final_omega_refinement_chain(T, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Refinement chain between omega(T) and ||T||.
 
     With T = U |T| and R = |T|^{1/2}, the numerical radius of the half-rotated
@@ -395,14 +359,13 @@ def final_omega_refinement_chain(
             <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||.
     """
     mat = as_square_matrix(T, "T")
-    cfg = sweep if sweep is not None else DEFAULT_SWEEP
     polar = polar_decompose(mat)
     half_power = psd_sqrt(polar.modulus, "|T|")
     rotated = polar.unitary @ half_power
     norm_t = operator_norm(mat)
     sqrt_norm = float(np.sqrt(norm_t))
-    omega_t = numerical_radius(mat, cfg).omega
-    omega_ur = numerical_radius(rotated, cfg).omega
+    omega_t = numerical_radius(mat).omega
+    omega_ur = numerical_radius(rotated).omega
     return make_chain(
         "final_omega_refinement",
         [

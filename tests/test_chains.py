@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ineqlab.chains import ToleranceConfig, clamped_acos, make_chain
+from ineqlab.chains import MAX_TOLERANCE, ToleranceConfig, make_chain
 from ineqlab.errors import InvalidInput
 
 
@@ -55,6 +55,10 @@ def test_to_dict_shape():
     assert doc["tolerance_used"] > 0
 
 
-def test_clamped_acos_handles_overshoot():
-    assert clamped_acos(1.0 + 1e-15) == 0.0
-    assert clamped_acos(-1.0 - 1e-15) == pytest.approx(np.pi)
+def test_tolerance_rejects_non_finite_and_absurd_values():
+    with pytest.raises(InvalidInput):
+        ToleranceConfig(eps_abs=float("inf"))
+    for bad in (0.0, -1e-12, float("nan"), 2 * MAX_TOLERANCE):
+        with pytest.raises(InvalidInput):
+            ToleranceConfig(eps_rel=bad)
+    assert ToleranceConfig(eps_rel_omega=MAX_TOLERANCE).eps_rel_omega == MAX_TOLERANCE

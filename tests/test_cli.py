@@ -30,9 +30,9 @@ def matrix_file(tmp_path, name, values):
 def failing_suite():
     spec = SuiteSpec(
         "always_fails",
-        "ginibre",
-        lambda stream, dim, tol: make_chain(
-            "always_fails", [("upper", 1.0), ("lower", 0.0)], tol
+        ("ginibre",),
+        lambda a, tolerance: make_chain(
+            "always_fails", [("upper", 1.0), ("lower", 0.0)], tolerance
         ),
         default_dim=2,
         default_trials=3,
@@ -96,16 +96,24 @@ def test_run_rejects_flag_mix_and_bad_jobs(tmp_path):
     assert main(["run", "--suite", "buzano", "--jobs", "0"]) == 2
 
 
-def test_run_config_error_paths(tmp_path):
-    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+def test_run_config_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["run", "--config", str(bad)]) == 2
     zero = write_json(
         tmp_path / "zero.json",
         {"suites": [{"suite": "buzano", "trials": 0}], "output": str(tmp_path / "r.json")},
     )
-    assert main(["run", "--config", zero]) == 2
+    for argv in (
+        ["run", "--config", str(tmp_path / "missing.json")],
+        ["run", "--config", str(bad)],
+        ["run", "--config", zero],
+        ["run", "--suite", "buzano", "--dim", "100"],
+        ["run", "--suite", "buzano", "--out", str(tmp_path / "no_such_dir" / "r.json")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out
+        assert captured.err.startswith("error: ")
 
 
 def test_run_flags_violation_exit(tmp_path, failing_suite):

@@ -7,7 +7,7 @@ import pytest
 
 from ineqlab import errors
 from ineqlab.chains import ToleranceConfig, make_chain
-from ineqlab.ensembles import EnsembleConfig
+from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.harness import (
     REGISTRY,
     SuiteSpec,
@@ -53,9 +53,9 @@ def stripped(doc):
 def failing_suite():
     spec = SuiteSpec(
         "always_fails",
-        "ginibre",
-        lambda stream, dim, tol: make_chain(
-            "always_fails", [("upper", 1.0), ("lower", 0.0)], tol
+        ("ginibre",),
+        lambda a, tolerance: make_chain(
+            "always_fails", [("upper", 1.0), ("lower", 0.0)], tolerance
         ),
         default_dim=2,
         default_trials=3,
@@ -152,6 +152,10 @@ def test_derive_entry_seed_is_stable():
         lambda doc: doc.update(tolerance={"eps_abs": -1.0}),
         lambda doc: doc.update(tolerance={"bogus": 1.0}),
         lambda doc: doc.update(output=""),
+        lambda doc: doc.update(tolerance={"eps_abs": float("inf")}),
+        lambda doc: doc.update(tolerance={"eps_rel": float("nan")}),
+        lambda doc: doc.update(tolerance={"eps_rel_omega": 1e300}),
+        lambda doc: doc.update(tolerance={"eps_rel": 0.5}),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate):
@@ -321,3 +325,35 @@ def test_check_single_counterexample(tmp_path):
     result = check_single("remark36_counterexample", files)
     assert not result.passed
     assert result.slacks[0] == pytest.approx(-0.5, abs=1e-15)
+
+
+def write_inputs(tmp_path, prefix, inputs):
+    paths = []
+    for position, value in enumerate(inputs):
+        value = np.asarray(value, dtype=complex)
+        wire = matrix_to_json_dict(value) if value.ndim == 2 else vector_to_json_dict(value)
+        paths.append(write_json(tmp_path / f"{prefix}_{position}.json", wire))
+    return paths
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_check_single_replays_suite_trials(tmp_path, name):
+    """Check mode on a trial's own inputs gives that trial's chain bit for bit."""
+    spec = REGISTRY[name]
+    tol = ToleranceConfig()
+    for dim in (2, 4):
+        ensemble = EnsembleConfig(spec.family, dim, derive_entry_seed(name, dim), 3)
+        for trial in range(ensemble.trials):
+            suite = spec.evaluate(trial_stream(ensemble, trial), dim, tol)
+            if spec.suite_inputs is not None:
+                inputs = spec.suite_inputs
+            else:
+                stream = trial_stream(ensemble, trial)
+                drawn = [draw(family, stream, dim) for family in spec.draws]
+                inputs = [drawn[i] for i in spec.order or range(len(drawn))]
+            check = check_single(name, write_inputs(tmp_path, f"d{dim}_t{trial}", inputs), tol)
+            if name == "omega_oracle":
+                # Check mode samples the oracle with its own seed and count.
+                assert suite.terms[1:] == check.terms[1:]
+                continue
+            assert (suite.terms, suite.slacks, suite.passed) == (check.terms, check.slacks, check.passed)

@@ -1,4 +1,4 @@
-"""Linear algebra layer: scalars, decompositions, predicates, JSON codec."""
+"""Linear algebra layer: validation, decompositions, predicates, JSON codec."""
 
 import json
 
@@ -10,14 +10,11 @@ from ineqlab.linalg import (
     as_matrix,
     as_vector,
     hermitian_eigen,
-    inner,
     is_positive_contraction,
     jacobi_hermitian_eigen,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    modulus,
-    norm,
     operator_norm,
     polar_decompose,
     psd_power,
@@ -60,27 +57,6 @@ def test_as_vector_accepts_column_matrices():
         as_vector([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(errors.InvalidInput):
         as_vector([np.inf, 1.0])
-
-
-def test_inner_is_linear_in_first_slot():
-    rng = np.random.default_rng(0)
-    x, y = random_complex(rng, 5), random_complex(rng, 5)
-    c = 2.0 - 3.0j
-    assert np.isclose(inner(c * x, y), c * inner(x, y))
-    assert np.isclose(inner(x, c * y), np.conj(c) * inner(x, y))
-    assert np.isclose(inner(x, y), np.conj(inner(y, x)))
-    # Explicit convention check: sum x_j conj(y_j).
-    assert np.isclose(inner(x, y), np.sum(x * np.conj(y)))
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(errors.DimensionMismatch):
-        inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_norm_basics():
-    assert norm([3.0, 4.0]) == pytest.approx(5.0)
-    assert norm([1j, 0.0]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +166,6 @@ def test_modulus_and_polar():
         # modulus agrees with the direct square root of M* M.
         direct = psd_sqrt(m.conj().T @ m)
         assert np.max(np.abs(pol.modulus - direct)) < 1e-7 * (1 + np.max(np.abs(m)))
-        assert np.max(np.abs(modulus(m) - pol.modulus)) < 1e-13
 
 
 def test_polar_of_singular_matrix_still_unitary():

@@ -7,7 +7,6 @@ from ineqlab import errors
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.linalg import is_positive_contraction, operator_norm
 from ineqlab.operator_ineq import (
-    PowerParams,
     bourin_property,
     contraction_builder,
     corollary33_chain,
@@ -274,7 +273,7 @@ def test_power_rejects_small_exponent():
     with pytest.raises(errors.InvalidInput):
         power_chain(np.eye(2), np.eye(2), np.eye(2), 0.5)
     with pytest.raises(errors.InvalidInput):
-        PowerParams(0.99)
+        bourin_property(np.eye(2), np.eye(2), 0.99)
 
 
 def test_bourin_property():

@@ -13,7 +13,7 @@ import sys
 from .errors import DimensionMismatch, IneqLabError, PreconditionError
 from .harness import check_single, default_config, run_all, suite_names
 from .linalg import load_matrix, operator_norm, vector_to_json_dict
-from .radius import RadiusSweepConfig, numerical_radius
+from .radius import numerical_radius
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,8 +98,7 @@ def _cmd_check(args) -> int:
 def _cmd_omega(args) -> int:
     try:
         matrix = load_matrix(args.input)
-        sweep = RadiusSweepConfig(coarse_points=args.coarse_points)
-        result = numerical_radius(matrix, sweep)
+        result = numerical_radius(matrix, args.coarse_points)
         document = {
             "omega": result.omega,
             "argmax_angle": result.argmax_angle,

@@ -146,10 +146,3 @@ def draw(family: str, stream: Stream, dim: int) -> np.ndarray:
             f"unknown ensemble family {family!r}; expected one of {', '.join(FAMILIES)}"
         ) from None
     return builder(stream, dim)
-
-
-def sample(cfg: EnsembleConfig, trial_index: int) -> np.ndarray:
-    """The trial's primary object: first draw of cfg.family on a fresh
-    per-trial stream."""
-    stream = trial_stream(cfg, trial_index)
-    return draw(cfg.family, stream, cfg.dim)

@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,18 +192,7 @@ class SuiteReport:
     runtime_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite_name": self.suite_name,
-            "family": self.family,
-            "dim": self.dim,
-            "seed": self.seed,
-            "trials": self.trials,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "mean_slack": self.mean_slack,
-            "tightest_instances": self.tightest_instances,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 def run_suite(
@@ -304,15 +293,20 @@ def default_config(base_seed: int = 0, output: str = "report.json") -> dict:
     }
 
 
+def _reject_unknown(block: dict, allowed: Sequence[str], where: str) -> None:
+    """A misspelled key would otherwise fall back to its default silently."""
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise InvalidInput(f"{where}: unknown keys {sorted(unknown)}; allowed: {', '.join(allowed)}")
+
+
 def _parse_tolerance(block) -> ToleranceConfig:
     if block is None:
         return ToleranceConfig()
     if not isinstance(block, dict):
         raise InvalidInput("config: 'tolerance' must be an object")
-    allowed = {"eps_abs", "eps_rel", "eps_rel_omega"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise InvalidInput(f"config: unknown tolerance keys {sorted(unknown)}")
+    allowed = ("eps_abs", "eps_rel", "eps_rel_omega")
+    _reject_unknown(block, allowed, "config: tolerance")
     values = {}
     for key in allowed:
         if key in block:
@@ -327,6 +321,7 @@ def parse_config(raw) -> tuple[ToleranceConfig, list[tuple[SuiteSpec, EnsembleCo
     """Validate a config dict into runnable (spec, ensemble) pairs."""
     if not isinstance(raw, dict):
         raise InvalidInput("config: top level must be a JSON object")
+    _reject_unknown(raw, ("tolerance", "suites", "output"), "config")
     tol = _parse_tolerance(raw.get("tolerance"))
     entries = raw.get("suites")
     if not isinstance(entries, list) or not entries:
@@ -336,6 +331,7 @@ def parse_config(raw) -> tuple[ToleranceConfig, list[tuple[SuiteSpec, EnsembleCo
         where = f"config: suites[{position}]"
         if not isinstance(entry, dict):
             raise InvalidInput(f"{where}: must be an object")
+        _reject_unknown(entry, ("suite", "family", "dim", "trials", "seed"), where)
         name = entry.get("suite")
         if not isinstance(name, str) or name not in REGISTRY:
             raise InvalidInput(f"{where}: unknown or missing suite {name!r}")

@@ -10,8 +10,15 @@ Tolerances fixed here:
 
 * ``HERMITIAN_TOL = 1e-10``: max-entry deviation ``|M - M*|`` accepted by the
   Hermitian eigensolver.
-* PSD clamp: eigenvalues in ``[-1e-9 * (1 + max|lambda|), 0)`` are treated as
-  rounding noise and clamped to zero; anything lower is rejected.
+* PSD clamp, the one rule for "nonnegative up to rounding":
+  :func:`psd_clamp` gives ``1e-9 * (1 + max|lambda|)`` over the eigenvalues.
+  Eigenvalues in ``[-clamp, 0)`` are treated as rounding noise (and zeroed by
+  :func:`psd_power`); anything lower is rejected.
+
+Every spectral hypothesis of a chain (a PSD operator, a positive
+contraction, a spectrum inside ``[low, high]``) is decided by
+:func:`require_spectrum`, which returns the symmetrized matrix so callers
+compute on exactly what was checked.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import (
     NotHermitian,
     NotOrthogonalProjection,
     NotPositiveSemidefinite,
+    SpectrumOutOfRange,
     ZeroVector,
 )
 
@@ -110,10 +118,10 @@ def hermitian_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> None:
+def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> None:
     dev = hermitian_deviation(matrix)
-    if dev > tol:
-        raise NotHermitian(f"{name}: max|M - M*| = {dev:.3e} exceeds tolerance {tol:.3e}")
+    if dev > HERMITIAN_TOL:
+        raise NotHermitian(f"{name}: max|M - M*| = {dev:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +137,6 @@ class EigenDecomposition:
 
 
 @dataclass
-class SVDResult:
-    """Factorization M = left @ diag(singular_values) @ right*.
-
-    ``right`` holds the right singular vectors as columns, so reconstruction
-    uses its conjugate transpose.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-
-@dataclass
 class PolarDecomposition:
     """Factorization M = unitary @ modulus with modulus = (M* M)^(1/2)."""
 
@@ -149,21 +144,22 @@ class PolarDecomposition:
     modulus: np.ndarray
 
 
-def hermitian_eigen(matrix, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
+def hermitian_eigen(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The input must satisfy max|M - M*| <= tol; it is then symmetrized before
-    factorization so that roundoff in the caller cannot leak into the result.
+    The input must satisfy max|M - M*| <= HERMITIAN_TOL; it is then
+    symmetrized before factorization so that roundoff in the caller cannot
+    leak into the result.
     """
     mat = as_square_matrix(matrix)
-    require_hermitian(mat, tol)
+    require_hermitian(mat)
     sym = 0.5 * (mat + mat.conj().T)
     values, vectors = np.linalg.eigh(sym)
     order = np.argsort(values)[::-1]
     return EigenDecomposition(values[order].astype(np.float64), vectors[:, order])
 
 
-def jacobi_hermitian_eigen(matrix, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
+def jacobi_hermitian_eigen(matrix) -> EigenDecomposition:
     """Cyclic Jacobi eigensolver for Hermitian matrices.
 
     Independent of the LAPACK path in :func:`hermitian_eigen`; the test suite
@@ -172,7 +168,7 @@ def jacobi_hermitian_eigen(matrix, tol: float = HERMITIAN_TOL) -> EigenDecomposi
     of 100 sweeps.
     """
     mat = as_square_matrix(matrix)
-    require_hermitian(mat, tol)
+    require_hermitian(mat)
     n = mat.shape[0]
     work = 0.5 * (mat + mat.conj().T)
     basis = np.eye(n, dtype=np.complex128)
@@ -231,29 +227,26 @@ def jacobi_hermitian_eigen(matrix, tol: float = HERMITIAN_TOL) -> EigenDecomposi
     return EigenDecomposition(values[order], basis[:, order])
 
 
-def svd(matrix) -> SVDResult:
-    """Singular value decomposition of a square matrix, values descending."""
-    mat = as_square_matrix(matrix)
-    left, values, right_h = np.linalg.svd(mat)
-    return SVDResult(left, values.astype(np.float64), right_h.conj().T)
-
-
 def operator_norm(matrix) -> float:
     """Largest singular value."""
     mat = as_matrix(matrix)
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
+def psd_clamp(eigenvalues: np.ndarray) -> float:
+    """Rounding allowance below zero for a PSD spectrum: 1e-9 * (1 + max|lambda|)."""
+    return PSD_CLAMP_REL * (1.0 + float(np.max(np.abs(eigenvalues))))
+
+
 def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
     """Spectral power M^exponent of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in [-clamp, 0) with clamp = 1e-9 * (1 + max|lambda|) are set
-    to zero; anything more negative raises NotPositiveSemidefinite.
+    Eigenvalues in [-psd_clamp, 0) are set to zero; anything more negative
+    raises NotPositiveSemidefinite.
     """
     eig = hermitian_eigen(matrix)
     values = eig.eigenvalues
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    clamp = PSD_CLAMP_REL * (1.0 + scale)
+    clamp = psd_clamp(values)
     low = float(values.min())
     if low < -clamp:
         raise NotPositiveSemidefinite(
@@ -273,15 +266,15 @@ def psd_sqrt(matrix, name: str = "matrix") -> np.ndarray:
 def polar_decompose(matrix) -> PolarDecomposition:
     """Polar factorization M = U |M| with U unitary.
 
-    Both factors come from one SVD (U = left @ right*, |M| from the right
-    singular vectors), so the product reconstructs M to float precision even
-    when M is singular; in that case U is a unitary completion rather than
-    anything canonical.
+    Both factors come from one SVD M = L diag(s) R* (U = L R*, |M| from the
+    right singular vectors), so the product reconstructs M to float precision
+    even when M is singular; in that case U is a unitary completion rather
+    than anything canonical.
     """
-    fac = svd(matrix)
-    unitary = fac.left @ fac.right.conj().T
-    mod = (fac.right * fac.singular_values) @ fac.right.conj().T
-    return PolarDecomposition(unitary, 0.5 * (mod + mod.conj().T))
+    left, values, right_h = np.linalg.svd(as_square_matrix(matrix))
+    right = right_h.conj().T
+    mod = (right * values) @ right_h
+    return PolarDecomposition(left @ right_h, 0.5 * (mod + mod.conj().T))
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +290,47 @@ def is_positive_contraction(matrix, tol: float = HERMITIAN_TOL) -> bool:
     return bool(values[0] >= -tol and values[-1] <= 1.0 + tol)
 
 
-def require_positive_semidefinite(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermitian + nonnegative spectrum; returns the symmetrized matrix."""
+def require_spectrum(
+    matrix,
+    low: float,
+    high: float,
+    name: str = "matrix",
+    slack: float | None = None,
+    error: type[Exception] = SpectrumOutOfRange,
+) -> np.ndarray:
+    """Validate Hermitian + spectrum inside [low - slack, high + slack].
+
+    ``slack`` defaults to :func:`psd_clamp` of the spectrum.  Returns the
+    symmetrized matrix; a spectrum outside the window raises ``error``.
+    """
     mat = as_square_matrix(matrix, name)
-    require_hermitian(mat, tol, name)
+    require_hermitian(mat, name)
     sym = 0.5 * (mat + mat.conj().T)
-    low = float(np.linalg.eigvalsh(sym)[0])
-    scale = float(np.max(np.abs(sym))) if sym.size else 0.0
-    clamp = PSD_CLAMP_REL * (1.0 + scale)
-    if low < -clamp:
-        raise NotPositiveSemidefinite(f"{name}: smallest eigenvalue {low:.6e} is negative")
+    values = np.linalg.eigvalsh(sym)
+    if slack is None:
+        slack = psd_clamp(values)
+    if values[0] < low - slack or values[-1] > high + slack:
+        raise error(
+            f"{name}: spectrum [{values[0]:.6e}, {values[-1]:.6e}] lies outside "
+            f"[{low}, {high}] beyond tolerance {slack:.3e}"
+        )
     return sym
 
 
-def require_orthogonal_projection(matrix, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate P = P* = P^2 to the given entrywise tolerance."""
+def require_positive_semidefinite(matrix, name: str = "matrix") -> np.ndarray:
+    """Validate Hermitian + nonnegative spectrum; returns the symmetrized matrix."""
+    return require_spectrum(matrix, 0.0, np.inf, name, error=NotPositiveSemidefinite)
+
+
+def require_orthogonal_projection(matrix, name: str = "matrix") -> np.ndarray:
+    """Validate P = P* = P^2 to HERMITIAN_TOL entrywise."""
     mat = as_square_matrix(matrix, name)
-    if hermitian_deviation(mat) > tol:
-        raise NotOrthogonalProjection(f"{name}: not Hermitian to tolerance {tol:.3e}")
+    if hermitian_deviation(mat) > HERMITIAN_TOL:
+        raise NotOrthogonalProjection(f"{name}: not Hermitian to tolerance {HERMITIAN_TOL:.3e}")
     dev = float(np.max(np.abs(mat @ mat - mat)))
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise NotOrthogonalProjection(
-            f"{name}: max|P^2 - P| = {dev:.3e} exceeds tolerance {tol:.3e}"
+            f"{name}: max|P^2 - P| = {dev:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
         )
     return mat
 
@@ -387,23 +399,19 @@ def vector_from_json_dict(obj, name: str = "vector") -> np.ndarray:
     return mat[:, 0]
 
 
-def load_matrix(path: str) -> np.ndarray:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: invalid JSON: {exc}") from None
-    return matrix_from_json_dict(obj, name=path)
+
+
+def load_matrix(path: str) -> np.ndarray:
+    return matrix_from_json_dict(_read_json(path), name=path)
 
 
 def load_vector(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: invalid JSON: {exc}") from None
-    return vector_from_json_dict(obj, name=path)
+    return vector_from_json_dict(_read_json(path), name=path)

@@ -14,20 +14,19 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import ChainResult, ToleranceConfig, make_chain
-from .errors import InvalidInput, SpectrumOutOfRange, ZeroOperator
+from .errors import InvalidInput, ZeroOperator
 from .linalg import (
     HERMITIAN_TOL,
-    PSD_CLAMP_REL,
     as_square_matrix,
     as_vector,
     operator_norm,
     polar_decompose,
     psd_power,
     psd_sqrt,
-    require_hermitian,
     require_operator_on,
     require_positive_semidefinite,
     require_same_length,
+    require_spectrum,
 )
 from .radius import numerical_radius
 
@@ -44,29 +43,14 @@ def _power_tag(r: float) -> str:
     return f"{r:g}"
 
 
-def _hermitian_with_spectrum(matrix, low: float, high: float, name: str, slack: float) -> np.ndarray:
-    """Validate Hermitian-ness and an eigenvalue window; return symmetrized M."""
-    mat = as_square_matrix(matrix, name)
-    require_hermitian(mat, HERMITIAN_TOL, name)
-    sym = 0.5 * (mat + mat.conj().T)
-    values = np.linalg.eigvalsh(sym)
-    if values[0] < low - slack or values[-1] > high + slack:
-        raise SpectrumOutOfRange(
-            f"{name}: spectrum [{values[0]:.6e}, {values[-1]:.6e}] lies outside "
-            f"[{low}, {high}] beyond tolerance {slack:.3e}"
-        )
-    return sym
-
-
 def _require_positive_contraction(matrix, name: str = "A") -> np.ndarray:
-    return _hermitian_with_spectrum(matrix, 0.0, 1.0, name, HERMITIAN_TOL)
+    return require_spectrum(matrix, 0.0, 1.0, name, slack=HERMITIAN_TOL)
 
 
-def _require_nonzero_psd(matrix, name: str = "A") -> np.ndarray:
-    sym = require_positive_semidefinite(matrix, name=name)
-    if operator_norm(sym) == 0.0:
+def _require_nonzero(matrix: np.ndarray, name: str = "A") -> np.ndarray:
+    if not matrix.any():
         raise ZeroOperator(f"{name}: the zero operator is excluded here")
-    return sym
+    return matrix
 
 
 def _vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +76,7 @@ def lemma_2A_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainRe
 
     |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
     """
-    sym = _hermitian_with_spectrum(A, 0.0, 2.0, "A", HERMITIAN_TOL)
+    sym = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
     xv, yv = _vector_pair(x, y, sym, "A")
     residual = sym @ sym
     gap = 2.0 * sym - residual
@@ -131,7 +115,7 @@ def corollary33_chain(
     any nonzero PSD operator and divides its contribution by ||A||.
     """
     if scaled:
-        sym = _require_nonzero_psd(A, "A")
+        sym = _require_nonzero(require_positive_semidefinite(A, "A"))
         denom = operator_norm(sym)
         name = "corollary33_scaled"
     else:
@@ -175,7 +159,7 @@ def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tup
 
 def remark36_scaled(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
-    sym = _require_nonzero_psd(A, "A")
+    sym = _require_nonzero(require_positive_semidefinite(A, "A"))
     xv, yv = _vector_pair(x, y, sym, "A")
     return make_chain("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
 
@@ -197,9 +181,7 @@ def remark36_polar_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     With A = U |A| the first inequality applies the PSD bound to |A| against
     the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
     """
-    mat = as_square_matrix(A, "A")
-    if operator_norm(mat) == 0.0:
-        raise ZeroOperator("A: the zero operator is excluded here")
+    mat = _require_nonzero(as_square_matrix(A, "A"))
     xv, yv = _vector_pair(x, y, mat, "A")
     polar = polar_decompose(mat)
     half_norm = 0.5 * operator_norm(mat)
@@ -224,7 +206,7 @@ def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainRe
     omega(AB) <= (||B||/2)(omega(A) + ||A||) <= (3/2) ||B|| omega(A).
     """
     mat_a = as_square_matrix(A, "A")
-    sym_b = require_positive_semidefinite(B, name="B")
+    sym_b = require_positive_semidefinite(B, "B")
     if mat_a.shape != sym_b.shape:
         raise InvalidInput(
             f"A has shape {mat_a.shape} but B has shape {sym_b.shape}"
@@ -314,8 +296,8 @@ def bourin_property(M, N, power, tolerance: ToleranceConfig | None = None) -> Ch
     """Norm convexity transfer for PSD pairs: the r-th power of the average
     is dominated in norm by the average of the r-th powers."""
     r = _as_power(power)
-    sym_m = require_positive_semidefinite(M, name="M")
-    sym_n = require_positive_semidefinite(N, name="N")
+    sym_m = require_positive_semidefinite(M, "M")
+    sym_n = require_positive_semidefinite(N, "N")
     if sym_m.shape != sym_n.shape:
         raise InvalidInput(f"M has shape {sym_m.shape} but N has shape {sym_n.shape}")
     lhs = operator_norm(psd_power(0.5 * (sym_m + sym_n), r, "(M+N)/2"))
@@ -333,16 +315,7 @@ def contraction_builder(A) -> np.ndarray:
     Requires A Hermitian with spectrum in [0, 1/4]; returns the branch
     B = (I + sqrt(I - 4A))/2, whose spectrum lies in [1/2, 1].
     """
-    mat = as_square_matrix(A, "A")
-    require_hermitian(mat, HERMITIAN_TOL, "A")
-    sym = 0.5 * (mat + mat.conj().T)
-    values = np.linalg.eigvalsh(sym)
-    slack = PSD_CLAMP_REL * (1.0 + float(np.max(np.abs(values))))
-    if values[0] < -slack or values[-1] > 0.25 + slack:
-        raise SpectrumOutOfRange(
-            f"A: spectrum [{values[0]:.6e}, {values[-1]:.6e}] lies outside [0, 0.25] "
-            f"beyond tolerance {slack:.3e}"
-        )
+    sym = require_spectrum(A, 0.0, 0.25, "A")
     eye = np.eye(sym.shape[0], dtype=np.complex128)
     root = psd_sqrt(eye - 4.0 * sym, "I - 4A")
     return 0.5 * (eye + root)

@@ -31,31 +31,10 @@ from .prng import Stream, mix64
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ORACLE_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class RadiusSweepConfig:
-    """Angle-sweep parameters.
-
-    coarse_points: size of the uniform grid over [0, 2pi); at least 8.
-    refine_tol: golden-section stops once the bracket is this narrow (radians).
-    max_refine_iters: hard cap on golden-section steps.
-    """
-
-    coarse_points: int = 720
-    refine_tol: float = 1e-12
-    max_refine_iters: int = 200
-
-    def __post_init__(self):
-        if self.coarse_points < 8:
-            raise InvalidInput(f"coarse_points must be at least 8, got {self.coarse_points}")
-        if not (self.refine_tol > 0.0):
-            raise InvalidInput(f"refine_tol must be positive, got {self.refine_tol}")
-        if self.max_refine_iters < 0:
-            raise InvalidInput(f"max_refine_iters must be nonnegative, got {self.max_refine_iters}")
-
-
-DEFAULT_SWEEP = RadiusSweepConfig()
+# Golden-section search stops once the bracket is this narrow (radians), or
+# after this many steps.
+REFINE_TOL = 1e-12
+MAX_REFINE_ITERS = 200
 
 
 @dataclass
@@ -119,9 +98,7 @@ def _grid_sweep(
     return best_idx, float(values[best_idx])
 
 
-def _golden_refine(
-    eval_one, a: float, b: float, tol: float, max_iters: int
-) -> tuple[float, float]:
+def _golden_refine(eval_one, a: float, b: float) -> tuple[float, float]:
     """Golden-section maximization of eval_one on [a, b].
 
     Returns the best (angle, value) among every point it evaluated, so the
@@ -136,7 +113,7 @@ def _golden_refine(
         if value > best_value:
             best_theta, best_value = theta, value
     iterations = 0
-    while (b - a) > tol and iterations < max_iters:
+    while (b - a) > REFINE_TOL and iterations < MAX_REFINE_ITERS:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
@@ -162,10 +139,14 @@ def _normalize_witness_phase(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def numerical_radius(matrix, config: RadiusSweepConfig | None = None) -> RadiusResult:
-    """Numerical radius of a square matrix by the angle sweep described above."""
+def numerical_radius(matrix, coarse_points: int = 720) -> RadiusResult:
+    """Numerical radius of a square matrix by the angle sweep described above.
+
+    ``coarse_points`` is the size of the uniform grid over [0, 2pi), at least 8.
+    """
+    if coarse_points < 8:
+        raise InvalidInput(f"coarse_points must be at least 8, got {coarse_points}")
     mat = as_square_matrix(matrix)
-    cfg = config if config is not None else DEFAULT_SWEEP
     n = mat.shape[0]
     scale = operator_norm(mat)
     if scale == 0.0:
@@ -174,21 +155,15 @@ def numerical_radius(matrix, config: RadiusSweepConfig | None = None) -> RadiusR
         return RadiusResult(omega=0.0, argmax_angle=0.0, witness=witness)
 
     h0, k0 = _hermitian_parts(mat)
-    step = 2.0 * np.pi / cfg.coarse_points
-    best_idx, best_value = _grid_sweep(h0, k0, cfg.coarse_points, scale)
+    step = 2.0 * np.pi / coarse_points
+    best_idx, best_value = _grid_sweep(h0, k0, coarse_points, scale)
     best_theta = step * best_idx
 
     def eval_one(theta: float) -> float:
         h = np.cos(theta) * h0 + np.sin(theta) * k0
         return float(np.linalg.eigvalsh(h)[-1])
 
-    refine_theta, refine_value = _golden_refine(
-        eval_one,
-        best_theta - step,
-        best_theta + step,
-        cfg.refine_tol,
-        cfg.max_refine_iters,
-    )
+    refine_theta, refine_value = _golden_refine(eval_one, best_theta - step, best_theta + step)
     if refine_value > best_value:
         best_theta, best_value = refine_theta, refine_value
 

@@ -32,6 +32,14 @@ def _vectors(*pairs) -> list[np.ndarray]:
     return [vec for _, vec in coerced]
 
 
+def _units(*pairs) -> list[np.ndarray]:
+    """Validated nonzero vectors scaled to unit norm, for the angle checks."""
+    vectors = _vectors(*pairs)
+    for (name, _), vec in zip(pairs, vectors):
+        require_nonzero_vector(vec, name)
+    return [vec / np.linalg.norm(vec) for vec in vectors]
+
+
 def _inner(x: np.ndarray, y: np.ndarray) -> complex:
     # Linear in the first slot; inputs are validated by the callers.
     return complex(np.vdot(y, x))
@@ -49,9 +57,10 @@ def _unit_angle(u: np.ndarray, w: np.ndarray) -> float:
     return 2.0 * float(np.arctan2(diff, total))
 
 
-def _psi_of_units(u: np.ndarray, w: np.ndarray, ip: complex) -> float:
+def _psi_of_units(u: np.ndarray, w: np.ndarray) -> float:
     """Phase-minimized angle: rotate u so the inner product is real
     nonnegative, then measure the plain angle."""
+    ip = _inner(u, w)
     mag = abs(ip)
     phase = ip / mag if mag > 0.0 else 1.0
     return _unit_angle(u * np.conj(phase), w)
@@ -66,15 +75,11 @@ def angles(x, y) -> AngleResult:
     psi or phi can disagree with acos of the reported cosine by about one
     ulp near the endpoints, in the angle's favor.
     """
-    xv, yv = _vectors(("x", x), ("y", y))
-    require_nonzero_vector(xv, "x")
-    require_nonzero_vector(yv, "y")
-    u = xv / np.linalg.norm(xv)
-    w = yv / np.linalg.norm(yv)
+    u, w = _units(("x", x), ("y", y))
     ip = _inner(u, w)
     return AngleResult(
         cos_psi=min(1.0, abs(ip)),
-        psi=_psi_of_units(u, w, ip),
+        psi=_psi_of_units(u, w),
         cos_phi=min(1.0, max(-1.0, ip.real)),
         phi=_unit_angle(u, w),
     )
@@ -89,11 +94,7 @@ def psi_infimum_property(x, y, grid: int = 360, tolerance: ToleranceConfig | Non
     """
     if grid < 8:
         raise InvalidInput(f"grid must be at least 8, got {grid}")
-    xv, yv = _vectors(("x", x), ("y", y))
-    require_nonzero_vector(xv, "x")
-    require_nonzero_vector(yv, "y")
-    u = xv / np.linalg.norm(xv)
-    w = yv / np.linalg.norm(yv)
+    u, w = _units(("x", x), ("y", y))
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     rotated = np.exp(1j * thetas)[:, None] * u[None, :]
     grid_phi = 2.0 * np.arctan2(
@@ -101,7 +102,7 @@ def psi_infimum_property(x, y, grid: int = 360, tolerance: ToleranceConfig | Non
         np.linalg.norm(rotated + w[None, :], axis=1),
     )
     min_phi = float(grid_phi.min())
-    psi = _psi_of_units(u, w, _inner(u, w))
+    psi = _psi_of_units(u, w)
     return make_chain(
         "psi_infimum",
         [
@@ -115,12 +116,10 @@ def psi_infimum_property(x, y, grid: int = 360, tolerance: ToleranceConfig | Non
 
 def krein_triangle(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Triangle inequality for the real-part angle phi."""
-    xv, yv, zv = _vectors(("x", x), ("y", y), ("z", z))
-    for name, vec in (("x", xv), ("y", yv), ("z", zv)):
-        require_nonzero_vector(vec, name)
-    phi_xz = angles(xv, zv).phi
-    phi_xy = angles(xv, yv).phi
-    phi_yz = angles(yv, zv).phi
+    ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
+    phi_xz = _unit_angle(ux, uz)
+    phi_xy = _unit_angle(ux, uy)
+    phi_yz = _unit_angle(uy, uz)
     return make_chain(
         "krein_triangle",
         [("phi_xz", phi_xz), ("phi_xy_plus_phi_yz", phi_xy + phi_yz)],
@@ -147,12 +146,10 @@ def lin_triangle_refined(x, y, z, tolerance: ToleranceConfig | None = None) -> C
     so degenerate (collinear) triples come out exact instead of picking up
     sqrt(epsilon)-sized angles.
     """
-    xv, yv, zv = _vectors(("x", x), ("y", y), ("z", z))
-    for name, vec in (("x", xv), ("y", yv), ("z", zv)):
-        require_nonzero_vector(vec, name)
-    p_xy = angles(xv, yv).psi
-    p_xz = angles(xv, zv).psi
-    p_zy = angles(zv, yv).psi
+    ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
+    p_xy = _psi_of_units(ux, uy)
+    p_xz = _psi_of_units(ux, uz)
+    p_zy = _psi_of_units(uz, uy)
     # 1 - g = vers(p_xy) + min of the two sign resolutions of
     # sin(p_xz) sin(p_zy) -+ (cos(p_xy) - cos(p_xz) cos(p_zy)), each a
     # product-to-sum difference of cosines.
@@ -224,18 +221,9 @@ def lemma21_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainRes
     )
 
 
-def cs_refinement_chain(
-    x, y, z, normalize_z: bool = False, tolerance: ToleranceConfig | None = None
-) -> ChainResult:
-    """Cauchy-Schwarz with an intermediate bound through a third vector.
-
-    With ``normalize_z`` the third vector is scaled to unit norm first (and
-    must then be nonzero), which is the form quoted for unit vectors.
-    """
+def cs_refinement_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
+    """Cauchy-Schwarz with an intermediate bound through a third vector."""
     xv, yv, zv = _vectors(("x", x), ("y", y), ("z", z))
-    if normalize_z:
-        require_nonzero_vector(zv, "z")
-        zv = zv / np.linalg.norm(zv)
     nx, ny, nz = (float(np.linalg.norm(v)) for v in (xv, yv, zv))
     i_xy = _inner(xv, yv)
     i_xz = _inner(xv, zv)

@@ -7,7 +7,6 @@ from ineqlab.ensembles import (
     FAMILIES,
     EnsembleConfig,
     draw,
-    sample,
     trial_stream,
 )
 from ineqlab.errors import InvalidInput
@@ -28,31 +27,33 @@ def test_config_validation():
 def test_trial_index_range_enforced():
     cfg = EnsembleConfig(family="ginibre", dim=3, master_seed=1, trials=5)
     with pytest.raises(InvalidInput):
-        sample(cfg, 5)
+        trial_stream(cfg, 5)
     with pytest.raises(InvalidInput):
-        sample(cfg, -1)
+        trial_stream(cfg, -1)
 
 
 def test_bitwise_reproducibility():
     cfg = EnsembleConfig(family="hermitian", dim=6, master_seed=123456, trials=10)
     for t in (0, 3, 9):
-        assert np.array_equal(sample(cfg, t), sample(cfg, t))
+        first = draw(cfg.family, trial_stream(cfg, t), cfg.dim)
+        assert np.array_equal(first, draw(cfg.family, trial_stream(cfg, t), cfg.dim))
 
 
 def test_trials_are_order_independent():
     cfg = EnsembleConfig(family="ginibre", dim=4, master_seed=7, trials=10)
-    direct = sample(cfg, 7)
+    direct = draw(cfg.family, trial_stream(cfg, 7), cfg.dim)
     # Drawing other trials first must not affect trial 7.
     for t in (2, 9, 0):
-        sample(cfg, t)
-    assert np.array_equal(direct, sample(cfg, 7))
+        draw(cfg.family, trial_stream(cfg, t), cfg.dim)
+    assert np.array_equal(direct, draw(cfg.family, trial_stream(cfg, 7), cfg.dim))
 
 
 def test_different_trials_and_seeds_differ():
     cfg = EnsembleConfig(family="ginibre", dim=4, master_seed=7, trials=10)
     other = EnsembleConfig(family="ginibre", dim=4, master_seed=8, trials=10)
-    assert not np.array_equal(sample(cfg, 0), sample(cfg, 1))
-    assert not np.array_equal(sample(cfg, 0), sample(other, 0))
+    base = draw("ginibre", trial_stream(cfg, 0), 4)
+    assert not np.array_equal(base, draw("ginibre", trial_stream(cfg, 1), 4))
+    assert not np.array_equal(base, draw("ginibre", trial_stream(other, 0), 4))
 
 
 def test_family_membership_properties():
@@ -87,14 +88,17 @@ def test_family_membership_properties():
 
 def test_ginibre_moments():
     cfg = EnsembleConfig(family="ginibre", dim=16, master_seed=55, trials=60)
-    entries = np.concatenate([sample(cfg, t).ravel() for t in range(cfg.trials)])
+    entries = np.concatenate(
+        [draw("ginibre", trial_stream(cfg, t), 16).ravel() for t in range(cfg.trials)]
+    )
     assert abs(entries.mean()) < 0.02
     assert abs(np.mean(np.abs(entries) ** 2) - 1.0) < 0.02
 
 
 def test_projection_hits_both_ranks_eventually():
     cfg = EnsembleConfig(family="projection", dim=4, master_seed=3, trials=64)
-    ranks = {int(round(np.real(np.trace(sample(cfg, t))))) for t in range(cfg.trials)}
+    projections = (draw("projection", trial_stream(cfg, t), 4) for t in range(cfg.trials))
+    ranks = {int(round(np.real(np.trace(p)))) for p in projections}
     assert len(ranks) >= 3
 
 

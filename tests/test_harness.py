@@ -156,6 +156,8 @@ def test_derive_entry_seed_is_stable():
         lambda doc: doc.update(tolerance={"eps_rel": float("nan")}),
         lambda doc: doc.update(tolerance={"eps_rel_omega": 1e300}),
         lambda doc: doc.update(tolerance={"eps_rel": 0.5}),
+        lambda doc: doc.update(suites=[{"suite": "buzano", "trails": 5000, "dimm": 8}]),
+        lambda doc: doc.update(outptu="r.json"),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate):

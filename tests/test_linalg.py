@@ -20,10 +20,11 @@ from ineqlab.linalg import (
     psd_power,
     psd_sqrt,
     require_orthogonal_projection,
-    svd,
+    require_positive_semidefinite,
     vector_from_json_dict,
     vector_to_json_dict,
 )
+from ineqlab.operator_ineq import bourin_property
 
 
 def random_complex(rng, *shape):
@@ -103,22 +104,7 @@ def test_jacobi_handles_diagonal_and_scalar_input():
 
 
 # ---------------------------------------------------------------------------
-# svd, psd roots, polar
-
-
-def test_svd_reconstructs_and_orders():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 4, 7):
-        m = random_complex(rng, n, n)
-        fac = svd(m)
-        assert np.all(np.diff(fac.singular_values) <= 0)
-        rebuilt = (fac.left * fac.singular_values) @ fac.right.conj().T
-        assert np.max(np.abs(rebuilt - m)) < 1e-12 * (1 + np.max(np.abs(m)))
-
-
-def test_svd_requires_square():
-    with pytest.raises(errors.DimensionMismatch):
-        svd(np.ones((2, 3)))
+# psd roots, polar
 
 
 def test_operator_norm_matches_svd():
@@ -146,6 +132,22 @@ def test_psd_sqrt_clamps_rounding_noise_but_rejects_negative():
         psd_sqrt(np.diag([1.0, -1e-3]))
 
 
+def test_psd_checks_share_one_clamp():
+    # Smallest eigenvalue -1.2e-8: inside 1e-9 * (1 + 16), outside a clamp
+    # scaled by the largest entry (1e-9 * (1 + 1)).
+    near_psd = np.ones((16, 16)) - 1.2e-8 * np.eye(16)
+    require_positive_semidefinite(near_psd)
+    psd_sqrt(near_psd)
+    bourin_property(near_psd, near_psd, 2.0)
+    negative = np.diag([1.0, -1e-6])
+    with pytest.raises(errors.NotPositiveSemidefinite):
+        require_positive_semidefinite(negative)
+    with pytest.raises(errors.NotPositiveSemidefinite):
+        psd_sqrt(negative)
+    with pytest.raises(errors.NotPositiveSemidefinite):
+        bourin_property(negative, np.eye(2), 2.0)
+
+
 def test_psd_power_matches_eigen_power():
     rng = np.random.default_rng(6)
     g = random_complex(rng, 4, 4)
@@ -166,6 +168,11 @@ def test_modulus_and_polar():
         # modulus agrees with the direct square root of M* M.
         direct = psd_sqrt(m.conj().T @ m)
         assert np.max(np.abs(pol.modulus - direct)) < 1e-7 * (1 + np.max(np.abs(m)))
+
+
+def test_polar_requires_square():
+    with pytest.raises(errors.DimensionMismatch):
+        polar_decompose(np.ones((2, 3)))
 
 
 def test_polar_of_singular_matrix_still_unitary():

@@ -7,7 +7,6 @@ import pytest
 from ineqlab.errors import DimensionMismatch, InvalidInput
 from ineqlab.linalg import operator_norm
 from ineqlab.radius import (
-    RadiusSweepConfig,
     _angle_values,
     _grid_sweep,
     _hermitian_parts,
@@ -91,8 +90,8 @@ def test_doubling_grid_barely_moves_result():
     for n in (2, 3, 4, 8):
         for _ in range(8):
             t = random_complex(rng, n)
-            base = numerical_radius(t, RadiusSweepConfig(coarse_points=720)).omega
-            fine = numerical_radius(t, RadiusSweepConfig(coarse_points=1440)).omega
+            base = numerical_radius(t, 720).omega
+            fine = numerical_radius(t, 1440).omega
             assert abs(base - fine) <= 1e-9 * operator_norm(t)
 
 
@@ -112,11 +111,7 @@ def test_pruned_sweep_matches_full_grid_exactly():
 
 def test_config_validation():
     with pytest.raises(InvalidInput):
-        RadiusSweepConfig(coarse_points=4)
-    with pytest.raises(InvalidInput):
-        RadiusSweepConfig(refine_tol=0.0)
-    with pytest.raises(InvalidInput):
-        RadiusSweepConfig(max_refine_iters=-1)
+        numerical_radius(SHIFT, 4)
     with pytest.raises(DimensionMismatch):
         numerical_radius(np.ones((2, 3)))
 
@@ -126,8 +121,8 @@ def test_more_coarse_points_accepted_and_monotone_safe():
     # beyond tolerance.
     rng = np.random.default_rng(17)
     t = random_complex(rng, 6)
-    small = numerical_radius(t, RadiusSweepConfig(coarse_points=8)).omega
-    big = numerical_radius(t, RadiusSweepConfig(coarse_points=2880)).omega
+    small = numerical_radius(t, 8).omega
+    big = numerical_radius(t, 2880).omega
     assert small <= big + 1e-9 * operator_norm(t)
 
 

@@ -204,16 +204,6 @@ def test_cs_refinement_examples_and_random():
         assert cs_refinement_chain(random_vec(rng, n), random_vec(rng, n), random_vec(rng, n)).passed
 
 
-def test_cs_refinement_normalize_overload():
-    rng = np.random.default_rng(28)
-    x, y, z = (random_vec(rng, 5) for _ in range(3))
-    manual = cs_refinement_chain(x, y, z / np.linalg.norm(z))
-    auto = cs_refinement_chain(x, y, z, normalize_z=True)
-    assert auto.values == pytest.approx(manual.values, rel=1e-12)
-    with pytest.raises(errors.ZeroVector):
-        cs_refinement_chain(x, y, np.zeros(5), normalize_z=True)
-
-
 # ---------------------------------------------------------------------------
 # projection form
 

@@ -12,7 +12,7 @@ import sys
 
 from .errors import DimensionMismatch, IneqLabError, PreconditionError
 from .harness import check_single, default_config, run_all, suite_names
-from .linalg import load_matrix, operator_norm, vector_to_json_dict
+from .linalg import load_matrix, vector_to_json_dict
 from .radius import numerical_radius
 
 
@@ -30,10 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--config", help="JSON config path (mutually exclusive with --suite)")
     run_p.add_argument("--suite", choices=suite_names(), help="run a single registered suite")
-    run_p.add_argument("--family", help="ensemble family (defaults to the suite's own)")
     run_p.add_argument("--dim", type=int, help="matrix/vector dimension")
     run_p.add_argument("--trials", type=int, help="number of seeded trials")
-    run_p.add_argument("--seed", type=int, help="64-bit master seed")
+    run_p.add_argument("--seed", type=int, help="master seed in [0, 2^64)")
     run_p.add_argument("--out", help="report path (default report.json, or the config's output)")
     run_p.add_argument("--csv", help="also write a flattened CSV to this path")
     run_p.add_argument("--jobs", type=int, default=1, help="worker threads for trials (default 1)")
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    suite_flags = [args.suite, args.family, args.dim, args.trials, args.seed]
+    suite_flags = [args.suite, args.dim, args.trials, args.seed]
     if args.config is not None and any(flag is not None for flag in suite_flags):
         print("error: use either --config or the --suite flag group, not both", file=sys.stderr)
         return 2
@@ -76,7 +75,7 @@ def _flag_config(args) -> dict:
     if args.suite is None:
         return default_config()
     entry = {"suite": args.suite}
-    for key in ("family", "dim", "trials", "seed"):
+    for key in ("dim", "trials", "seed"):
         if getattr(args, key) is not None:
             entry[key] = getattr(args, key)
     return {"suites": [entry]}
@@ -97,12 +96,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_omega(args) -> int:
     try:
-        matrix = load_matrix(args.input)
-        result = numerical_radius(matrix, args.coarse_points)
+        result = numerical_radius(load_matrix(args.input), args.coarse_points)
         document = {
             "omega": result.omega,
             "argmax_angle": result.argmax_angle,
-            "operator_norm": operator_norm(matrix),
+            "operator_norm": result.norm,
             "witness": vector_to_json_dict(result.witness),
         }
     except IneqLabError as exc:
@@ -121,9 +119,5 @@ def main(argv=None) -> int:
     return _cmd_omega(args)
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -50,6 +50,9 @@ class EnsembleConfig:
             raise InvalidInput(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
         if self.trials < 1:
             raise InvalidInput(f"trials must be at least 1, got {self.trials}")
+        # Stream keys reduce the seed mod 2^64, so -1 would alias 2^64 - 1.
+        if not (0 <= self.master_seed < 2**64):
+            raise InvalidInput(f"master seed must lie in [0, 2^64), got {self.master_seed}")
 
 
 def trial_stream(cfg: EnsembleConfig, trial_index: int) -> Stream:

@@ -31,7 +31,7 @@ from . import vector_ineq as vec_ineq
 from .chains import ChainResult, ToleranceConfig, make_chain
 from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
-from .linalg import load_matrix, load_vector, operator_norm
+from .linalg import load_matrix, load_vector, read_json
 from .prng import Stream
 from .radius import numerical_radius, numerical_radius_sampling_oracle
 
@@ -104,13 +104,13 @@ class SuiteSpec:
 def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: int) -> ChainResult:
     """Cross-check chain: sampled max quadratic form <= omega <= norm."""
     oracle = numerical_radius_sampling_oracle(matrix, samples, seed)
-    omega = numerical_radius(matrix).omega
+    radius = numerical_radius(matrix)
     return make_chain(
         "omega_oracle",
         [
             ("sampling_oracle_max", oracle),
-            ("omega_sweep", omega),
-            ("operator_norm", operator_norm(matrix)),
+            ("omega_sweep", radius.omega),
+            ("operator_norm", radius.norm),
         ],
         tolerance,
         omega_grade=True,
@@ -273,7 +273,7 @@ def derive_entry_seed(suite: str, dim: int, base_seed: int = 0) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0xFFFFFFFFFFFFFFFF
 
 
-def default_config(base_seed: int = 0, output: str = "report.json") -> dict:
+def default_config() -> dict:
     """Config covering every registered suite at its default size."""
     entries = []
     for spec in REGISTRY.values():
@@ -283,13 +283,13 @@ def default_config(base_seed: int = 0, output: str = "report.json") -> dict:
                 "family": spec.family,
                 "dim": spec.default_dim,
                 "trials": spec.default_trials,
-                "seed": derive_entry_seed(spec.name, spec.default_dim, base_seed),
+                "seed": derive_entry_seed(spec.name, spec.default_dim),
             }
         )
     return {
         "tolerance": {"eps_abs": 1e-12, "eps_rel": 1e-9, "eps_rel_omega": 1e-8},
         "suites": entries,
-        "output": output,
+        "output": "report.json",
     }
 
 
@@ -421,16 +421,6 @@ def execute_plans(
     return reports, all_ok
 
 
-def _read_config(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"config {path} is not valid JSON: {exc}") from None
-
-
 def run_all(
     config_path: str | dict,
     jobs: int = 1,
@@ -445,7 +435,7 @@ def run_all(
     ``progress``; every ``error:`` line goes to stderr.
     """
     try:
-        raw = _read_config(config_path) if isinstance(config_path, str) else config_path
+        raw = read_json(config_path) if isinstance(config_path, str) else config_path
         tol, plans, output = parse_config(raw)
         reports, all_ok = execute_plans(plans, tol, jobs=jobs, progress=progress)
         destination = output_override if output_override is not None else output
@@ -467,9 +457,7 @@ def run_all(
 # single-check evaluation
 
 
-def check_single(
-    check_name: str, input_files: Sequence[str], tol: ToleranceConfig | None = None
-) -> ChainResult:
+def check_single(check_name: str, input_files: Sequence[str]) -> ChainResult:
     """Evaluate one named check on inputs loaded from JSON files.
 
     Files are interpreted positionally against the check's signature; the
@@ -489,5 +477,4 @@ def check_single(
             f"({', '.join(kinds)}); got {len(input_files)}"
         )
     loaded = [load_vector(path) if kind == "vector" else load_matrix(path) for kind, path in zip(kinds, input_files)]
-    tolerance = tol if tol is not None else ToleranceConfig()
-    return spec.chain(*loaded, tolerance=tolerance, **spec.kwargs)
+    return spec.chain(*loaded, tolerance=ToleranceConfig(), **spec.kwargs)

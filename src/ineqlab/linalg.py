@@ -16,9 +16,10 @@ Tolerances fixed here:
   :func:`psd_power`); anything lower is rejected.
 
 Every spectral hypothesis of a chain (a PSD operator, a positive
-contraction, a spectrum inside ``[low, high]``) is decided by
-:func:`require_spectrum`, which returns the symmetrized matrix so callers
-compute on exactly what was checked.
+contraction, a spectrum inside ``[low, high]``) is decided by one window
+test, :func:`require_window`: :func:`require_spectrum` applies it and
+returns the symmetrized matrix so callers compute on exactly what was
+checked, and :func:`psd_power` applies it to the eigenvalues it factors.
 """
 
 from __future__ import annotations
@@ -144,17 +145,21 @@ class PolarDecomposition:
     modulus: np.ndarray
 
 
-def hermitian_eigen(matrix) -> EigenDecomposition:
+def _symmetrized(matrix, name: str) -> np.ndarray:
+    """(M + M*)/2 of a square M with max|M - M*| <= HERMITIAN_TOL."""
+    mat = as_square_matrix(matrix, name)
+    require_hermitian(mat, name)
+    return 0.5 * (mat + mat.conj().T)
+
+
+def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input must satisfy max|M - M*| <= HERMITIAN_TOL; it is then
     symmetrized before factorization so that roundoff in the caller cannot
     leak into the result.
     """
-    mat = as_square_matrix(matrix)
-    require_hermitian(mat)
-    sym = 0.5 * (mat + mat.conj().T)
-    values, vectors = np.linalg.eigh(sym)
+    values, vectors = np.linalg.eigh(_symmetrized(matrix, name))
     order = np.argsort(values)[::-1]
     return EigenDecomposition(values[order].astype(np.float64), vectors[:, order])
 
@@ -167,10 +172,8 @@ def jacobi_hermitian_eigen(matrix) -> EigenDecomposition:
     falls below 1e-13 times the Frobenius norm of the input, with a hard cap
     of 100 sweeps.
     """
-    mat = as_square_matrix(matrix)
-    require_hermitian(mat)
-    n = mat.shape[0]
-    work = 0.5 * (mat + mat.conj().T)
+    work = _symmetrized(matrix, "matrix")
+    n = work.shape[0]
     basis = np.eye(n, dtype=np.complex128)
     scale = float(np.linalg.norm(work))
     if n == 1 or scale == 0.0:
@@ -244,16 +247,9 @@ def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
     Eigenvalues in [-psd_clamp, 0) are set to zero; anything more negative
     raises NotPositiveSemidefinite.
     """
-    eig = hermitian_eigen(matrix)
-    values = eig.eigenvalues
-    clamp = psd_clamp(values)
-    low = float(values.min())
-    if low < -clamp:
-        raise NotPositiveSemidefinite(
-            f"{name}: eigenvalue {low:.6e} below the PSD clamp -{clamp:.3e}"
-        )
-    clipped = np.clip(values, 0.0, None)
-    powered = clipped**exponent
+    eig = hermitian_eigen(matrix, name)
+    require_window(eig.eigenvalues, 0.0, np.inf, name, error=NotPositiveSemidefinite)
+    powered = np.clip(eig.eigenvalues, 0.0, None) ** exponent
     result = (eig.eigenvectors * powered) @ eig.eigenvectors.conj().T
     return 0.5 * (result + result.conj().T)
 
@@ -290,6 +286,29 @@ def is_positive_contraction(matrix, tol: float = HERMITIAN_TOL) -> bool:
     return bool(values[0] >= -tol and values[-1] <= 1.0 + tol)
 
 
+def require_window(
+    eigenvalues: np.ndarray,
+    low: float,
+    high: float,
+    name: str = "matrix",
+    slack: float | None = None,
+    error: type[Exception] = SpectrumOutOfRange,
+) -> None:
+    """Raise ``error`` unless the spectrum lies inside [low - slack, high + slack].
+
+    ``slack`` defaults to :func:`psd_clamp` of the spectrum; the eigenvalues
+    may come in either order.
+    """
+    if slack is None:
+        slack = psd_clamp(eigenvalues)
+    bottom, top = float(eigenvalues.min()), float(eigenvalues.max())
+    if bottom < low - slack or top > high + slack:
+        raise error(
+            f"{name}: spectrum [{bottom:.6e}, {top:.6e}] lies outside "
+            f"[{low}, {high}] beyond tolerance {slack:.3e}"
+        )
+
+
 def require_spectrum(
     matrix,
     low: float,
@@ -298,22 +317,10 @@ def require_spectrum(
     slack: float | None = None,
     error: type[Exception] = SpectrumOutOfRange,
 ) -> np.ndarray:
-    """Validate Hermitian + spectrum inside [low - slack, high + slack].
-
-    ``slack`` defaults to :func:`psd_clamp` of the spectrum.  Returns the
-    symmetrized matrix; a spectrum outside the window raises ``error``.
-    """
-    mat = as_square_matrix(matrix, name)
-    require_hermitian(mat, name)
-    sym = 0.5 * (mat + mat.conj().T)
-    values = np.linalg.eigvalsh(sym)
-    if slack is None:
-        slack = psd_clamp(values)
-    if values[0] < low - slack or values[-1] > high + slack:
-        raise error(
-            f"{name}: spectrum [{values[0]:.6e}, {values[-1]:.6e}] lies outside "
-            f"[{low}, {high}] beyond tolerance {slack:.3e}"
-        )
+    """Validate Hermitian + spectrum inside [low - slack, high + slack] (see
+    :func:`require_window`); returns the symmetrized matrix."""
+    sym = _symmetrized(matrix, name)
+    require_window(np.linalg.eigvalsh(sym), low, high, name, slack, error)
     return sym
 
 
@@ -399,7 +406,8 @@ def vector_from_json_dict(obj, name: str = "vector") -> np.ndarray:
     return mat[:, 0]
 
 
-def _read_json(path: str):
+def read_json(path: str):
+    """Parse one JSON file; unreadable files and bad JSON raise InvalidInput."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -410,8 +418,8 @@ def _read_json(path: str):
 
 
 def load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json_dict(_read_json(path), name=path)
+    return matrix_from_json_dict(read_json(path), name=path)
 
 
 def load_vector(path: str) -> np.ndarray:
-    return vector_from_json_dict(_read_json(path), name=path)
+    return vector_from_json_dict(read_json(path), name=path)

@@ -212,15 +212,14 @@ def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainRe
             f"A has shape {mat_a.shape} but B has shape {sym_b.shape}"
         )
     omega_ab = numerical_radius(mat_a @ sym_b).omega
-    omega_a = numerical_radius(mat_a).omega
-    norm_a = operator_norm(mat_a)
+    radius_a = numerical_radius(mat_a)
     norm_b = operator_norm(sym_b)
     return make_chain(
         "corollary37",
         [
             ("omega_product", omega_ab),
-            ("half_norm_split", 0.5 * norm_b * (omega_a + norm_a)),
-            ("three_halves_bound", 1.5 * norm_b * omega_a),
+            ("half_norm_split", 0.5 * norm_b * (radius_a.omega + radius_a.norm)),
+            ("three_halves_bound", 1.5 * norm_b * radius_a.omega),
         ],
         tolerance,
         omega_grade=True,
@@ -296,12 +295,14 @@ def bourin_property(M, N, power, tolerance: ToleranceConfig | None = None) -> Ch
     """Norm convexity transfer for PSD pairs: the r-th power of the average
     is dominated in norm by the average of the r-th powers."""
     r = _as_power(power)
-    sym_m = require_positive_semidefinite(M, "M")
-    sym_n = require_positive_semidefinite(N, "N")
-    if sym_m.shape != sym_n.shape:
-        raise InvalidInput(f"M has shape {sym_m.shape} but N has shape {sym_n.shape}")
-    lhs = operator_norm(psd_power(0.5 * (sym_m + sym_n), r, "(M+N)/2"))
-    rhs = 0.5 * operator_norm(psd_power(sym_m, r, "M") + psd_power(sym_n, r, "N"))
+    mat_m = as_square_matrix(M, "M")
+    power_m = psd_power(mat_m, r, "M")
+    mat_n = as_square_matrix(N, "N")
+    power_n = psd_power(mat_n, r, "N")
+    if mat_m.shape != mat_n.shape:
+        raise InvalidInput(f"M has shape {mat_m.shape} but N has shape {mat_n.shape}")
+    lhs = operator_norm(psd_power(0.5 * (mat_m + mat_n), r, "(M+N)/2"))
+    rhs = 0.5 * operator_norm(power_m + power_n)
     return make_chain(
         f"bourin_r{_power_tag(r)}",
         [("power_of_average", lhs), ("average_of_powers", rhs)],
@@ -334,17 +335,16 @@ def final_omega_refinement_chain(T, tolerance: ToleranceConfig | None = None) ->
     mat = as_square_matrix(T, "T")
     polar = polar_decompose(mat)
     half_power = psd_sqrt(polar.modulus, "|T|")
-    rotated = polar.unitary @ half_power
-    norm_t = operator_norm(mat)
+    radius_t = numerical_radius(mat)
+    radius_ur = numerical_radius(polar.unitary @ half_power)
+    norm_t = radius_t.norm
     sqrt_norm = float(np.sqrt(norm_t))
-    omega_t = numerical_radius(mat).omega
-    omega_ur = numerical_radius(rotated).omega
     return make_chain(
         "final_omega_refinement",
         [
-            ("omega", omega_t),
-            ("half_rotated_omega", 0.5 * (norm_t + sqrt_norm * omega_ur)),
-            ("half_rotated_norm", 0.5 * (norm_t + sqrt_norm * operator_norm(rotated))),
+            ("omega", radius_t.omega),
+            ("half_rotated_omega", 0.5 * (norm_t + sqrt_norm * radius_ur.omega)),
+            ("half_rotated_norm", 0.5 * (norm_t + sqrt_norm * radius_ur.norm)),
             ("unitary_factor_bound", 0.5 * (norm_t + sqrt_norm * operator_norm(polar.unitary) * sqrt_norm)),
             ("operator_norm", norm_t),
         ],

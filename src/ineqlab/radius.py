@@ -39,12 +39,14 @@ MAX_REFINE_ITERS = 200
 
 @dataclass
 class RadiusResult:
-    """Sweep output: the radius estimate, its angle, and a unit witness vector
-    with |<T w, w>| equal to omega up to sweep tolerance."""
+    """Sweep output: the radius estimate, its angle, a unit witness vector
+    with |<T w, w>| equal to omega up to sweep tolerance, and ``norm`` =
+    :func:`~ineqlab.linalg.operator_norm` of T (the sweep's Lipschitz constant)."""
 
     omega: float
     argmax_angle: float
     witness: np.ndarray
+    norm: float
 
 
 def _hermitian_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +154,7 @@ def numerical_radius(matrix, coarse_points: int = 720) -> RadiusResult:
     if scale == 0.0:
         witness = np.zeros(n, dtype=np.complex128)
         witness[0] = 1.0
-        return RadiusResult(omega=0.0, argmax_angle=0.0, witness=witness)
+        return RadiusResult(omega=0.0, argmax_angle=0.0, witness=witness, norm=0.0)
 
     h0, k0 = _hermitian_parts(mat)
     step = 2.0 * np.pi / coarse_points
@@ -174,7 +176,7 @@ def numerical_radius(matrix, coarse_points: int = 720) -> RadiusResult:
     attained = abs(complex(np.vdot(witness, mat @ witness)))
     omega = max(best_value, float(values[-1]), attained)
     angle = float(np.mod(best_theta, 2.0 * np.pi))
-    return RadiusResult(omega=omega, argmax_angle=angle, witness=witness)
+    return RadiusResult(omega=omega, argmax_angle=angle, witness=witness, norm=scale)
 
 
 def numerical_radius_sampling_oracle(matrix, samples: int, seed: int) -> float:

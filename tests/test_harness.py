@@ -158,6 +158,8 @@ def test_derive_entry_seed_is_stable():
         lambda doc: doc.update(tolerance={"eps_rel": 0.5}),
         lambda doc: doc.update(suites=[{"suite": "buzano", "trails": 5000, "dimm": 8}]),
         lambda doc: doc.update(outptu="r.json"),
+        lambda doc: doc["suites"][0].update(seed=-1),
+        lambda doc: doc["suites"][0].update(seed=2**64),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate):
@@ -353,7 +355,7 @@ def test_check_single_replays_suite_trials(tmp_path, name):
                 stream = trial_stream(ensemble, trial)
                 drawn = [draw(family, stream, dim) for family in spec.draws]
                 inputs = [drawn[i] for i in spec.order or range(len(drawn))]
-            check = check_single(name, write_inputs(tmp_path, f"d{dim}_t{trial}", inputs), tol)
+            check = check_single(name, write_inputs(tmp_path, f"d{dim}_t{trial}", inputs))
             if name == "omega_oracle":
                 # Check mode samples the oracle with its own seed and count.
                 assert suite.terms[1:] == check.terms[1:]

@@ -148,6 +148,15 @@ def test_psd_checks_share_one_clamp():
         bourin_property(negative, np.eye(2), 2.0)
 
 
+def test_psd_power_errors_name_the_operand():
+    with pytest.raises(errors.NotHermitian, match="^T\\*T: "):
+        psd_power([[0.0, 1.0], [0.0, 0.0]], 2.0, "T*T")
+    with pytest.raises(errors.DimensionMismatch, match="^M: "):
+        psd_power(np.ones((2, 3)), 2.0, "M")
+    with pytest.raises(errors.NotPositiveSemidefinite, match="^N: "):
+        psd_power(np.diag([1.0, -1e-6]), 2.0, "N")
+
+
 def test_psd_power_matches_eigen_power():
     rng = np.random.default_rng(6)
     g = random_complex(rng, 4, 4)

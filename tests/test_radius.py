@@ -28,6 +28,7 @@ def test_nilpotent_shift_radius_is_half():
 
 def test_zero_matrix():
     result = numerical_radius(np.zeros((3, 3)))
+    assert result.norm == 0.0
     assert result.omega == 0.0
     assert result.argmax_angle == 0.0
     assert np.linalg.norm(result.witness) == pytest.approx(1.0)

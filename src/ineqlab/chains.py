@@ -7,7 +7,8 @@ verdict lives here so that each checker only has to compute its terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,8 @@ class ToleranceConfig:
 
     ``eps_rel_omega`` replaces ``eps_rel`` for chains whose terms include a
     numerical radius, since those values carry the sweep's own convergence
-    error on top of roundoff.  Every value must lie in (0, MAX_TOLERANCE].
+    error on top of roundoff.  Every value must be a real number (not a
+    bool or a string) in (0, MAX_TOLERANCE].
     """
 
     eps_abs: float = 1e-12
@@ -36,10 +38,12 @@ class ToleranceConfig:
     eps_rel_omega: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eps_abs", "eps_rel", "eps_rel_omega"):
-            value = getattr(self, name)
-            if not 0.0 < value <= MAX_TOLERANCE:
-                raise InvalidInput(f"tolerance {name} must lie in (0, {MAX_TOLERANCE:g}], got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value <= MAX_TOLERANCE:
+                raise InvalidInput(
+                    f"tolerance {f.name} must be a number in (0, {MAX_TOLERANCE:g}], got {value!r}"
+                )
 
     def slack_floor(self, terms: Sequence[float], omega_grade: bool) -> float:
         rel = self.eps_rel_omega if omega_grade else self.eps_rel

@@ -58,9 +58,6 @@ def _cmd_run(args) -> int:
     if args.config is not None and any(flag is not None for flag in suite_flags):
         print("error: use either --config or the --suite flag group, not both", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     return run_all(
         args.config if args.config is not None else _flag_config(args),
         jobs=args.jobs,

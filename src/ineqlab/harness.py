@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,6 +172,17 @@ def suite_names() -> list[str]:
     return list(REGISTRY.keys())
 
 
+def _suite(name, family: str | None = None) -> SuiteSpec:
+    """The registered row called ``name``; with ``family``, also check that
+    it is the suite's own ensemble family."""
+    spec = REGISTRY.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise InvalidInput(f"unknown suite {name!r}; registered suites: {', '.join(REGISTRY)}")
+    if family is not None and family != spec.family:
+        raise InvalidInput(f"suite {name!r} requires family {spec.family!r}, got {family!r}")
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # suite execution
 
@@ -206,16 +217,9 @@ def run_suite(
     With jobs > 1 the trials run on a thread pool; results are merged in
     trial order, so the report matches a serial run exactly.
     """
-    try:
-        spec = REGISTRY[suite_name]
-    except KeyError:
-        raise InvalidInput(
-            f"unknown suite {suite_name!r}; registered suites: {', '.join(suite_names())}"
-        ) from None
-    if ensemble.family != spec.family:
-        raise InvalidInput(
-            f"suite {suite_name!r} requires family {spec.family!r}, got {ensemble.family!r}"
-        )
+    spec = _suite(suite_name, ensemble.family)
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be at least 1, got {jobs}")
     tolerance = tol if tol is not None else ToleranceConfig()
 
     def one_trial(index: int) -> tuple[float, bool]:
@@ -274,30 +278,16 @@ def derive_entry_seed(suite: str, dim: int, base_seed: int = 0) -> int:
 
 
 def default_config() -> dict:
-    """Config covering every registered suite at its default size."""
-    entries = []
-    for spec in REGISTRY.values():
-        entries.append(
-            {
-                "suite": spec.name,
-                "family": spec.family,
-                "dim": spec.default_dim,
-                "trials": spec.default_trials,
-                "seed": derive_entry_seed(spec.name, spec.default_dim),
-            }
-        )
-    return {
-        "tolerance": {"eps_abs": 1e-12, "eps_rel": 1e-9, "eps_rel_omega": 1e-8},
-        "suites": entries,
-        "output": "report.json",
-    }
+    """Config covering every registered suite at its default size; the
+    defaults themselves are filled in by ``parse_config``."""
+    return {"suites": [{"suite": name} for name in REGISTRY]}
 
 
-def _reject_unknown(block: dict, allowed: Sequence[str], where: str) -> None:
+def _reject_unknown(block: dict, allowed: Sequence[str], where: str = "") -> None:
     """A misspelled key would otherwise fall back to its default silently."""
     unknown = set(block) - set(allowed)
     if unknown:
-        raise InvalidInput(f"{where}: unknown keys {sorted(unknown)}; allowed: {', '.join(allowed)}")
+        raise InvalidInput(f"{where}unknown keys {sorted(unknown)}; allowed: {', '.join(allowed)}")
 
 
 def _parse_tolerance(block) -> ToleranceConfig:
@@ -305,53 +295,44 @@ def _parse_tolerance(block) -> ToleranceConfig:
         return ToleranceConfig()
     if not isinstance(block, dict):
         raise InvalidInput("config: 'tolerance' must be an object")
-    allowed = ("eps_abs", "eps_rel", "eps_rel_omega")
-    _reject_unknown(block, allowed, "config: tolerance")
-    values = {}
-    for key in allowed:
-        if key in block:
-            try:
-                values[key] = float(block[key])
-            except (TypeError, ValueError):
-                raise InvalidInput(f"config: tolerance.{key} must be a number") from None
-    return ToleranceConfig(**values)
+    _reject_unknown(block, [f.name for f in fields(ToleranceConfig)], "config: tolerance: ")
+    return ToleranceConfig(**block)
+
+
+def _parse_entry(entry) -> tuple[SuiteSpec, EnsembleConfig]:
+    """One ``suites`` entry, its missing keys filled from the suite's row."""
+    if not isinstance(entry, dict):
+        raise InvalidInput("must be an object")
+    _reject_unknown(entry, ("suite", "family", "dim", "trials", "seed"))
+    spec = _suite(entry.get("suite"), entry.get("family"))
+    dim = entry.get("dim", spec.default_dim)
+    trials = entry.get("trials", spec.default_trials)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InvalidInput("dim must be an integer")
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise InvalidInput("trials must be an integer")
+    seed = entry.get("seed", derive_entry_seed(spec.name, dim))
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidInput("seed must be an integer")
+    family = entry.get("family", spec.family)  # an explicit null reaches EnsembleConfig and is rejected
+    return spec, EnsembleConfig(family=family, dim=dim, master_seed=seed, trials=trials)
 
 
 def parse_config(raw) -> tuple[ToleranceConfig, list[tuple[SuiteSpec, EnsembleConfig]], str]:
     """Validate a config dict into runnable (spec, ensemble) pairs."""
     if not isinstance(raw, dict):
         raise InvalidInput("config: top level must be a JSON object")
-    _reject_unknown(raw, ("tolerance", "suites", "output"), "config")
+    _reject_unknown(raw, ("tolerance", "suites", "output"), "config: ")
     tol = _parse_tolerance(raw.get("tolerance"))
     entries = raw.get("suites")
     if not isinstance(entries, list) or not entries:
         raise InvalidInput("config: 'suites' must be a non-empty list")
     plans = []
     for position, entry in enumerate(entries):
-        where = f"config: suites[{position}]"
-        if not isinstance(entry, dict):
-            raise InvalidInput(f"{where}: must be an object")
-        _reject_unknown(entry, ("suite", "family", "dim", "trials", "seed"), where)
-        name = entry.get("suite")
-        if not isinstance(name, str) or name not in REGISTRY:
-            raise InvalidInput(f"{where}: unknown or missing suite {name!r}")
-        spec = REGISTRY[name]
-        family = entry.get("family", spec.family)
-        if family != spec.family:
-            raise InvalidInput(
-                f"{where}: suite {name!r} requires family {spec.family!r}, got {family!r}"
-            )
-        dim = entry.get("dim", spec.default_dim)
-        trials = entry.get("trials", spec.default_trials)
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise InvalidInput(f"{where}: dim must be an integer")
-        if not isinstance(trials, int) or isinstance(trials, bool):
-            raise InvalidInput(f"{where}: trials must be an integer")
-        seed = entry.get("seed", derive_entry_seed(name, dim))
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InvalidInput(f"{where}: seed must be an integer")
-        ensemble = EnsembleConfig(family=family, dim=dim, master_seed=seed, trials=trials)
-        plans.append((spec, ensemble))
+        try:
+            plans.append(_parse_entry(entry))
+        except InvalidInput as exc:
+            raise InvalidInput(f"config: suites[{position}]: {exc}") from None
     output = raw.get("output", "report.json")
     if not isinstance(output, str) or not output:
         raise InvalidInput("config: 'output' must be a non-empty path string")
@@ -375,17 +356,7 @@ def write_report(reports: Sequence[SuiteReport], path: str) -> None:
         handle.write("\n")
 
 
-_CSV_COLUMNS = (
-    "suite_name",
-    "family",
-    "dim",
-    "seed",
-    "trials",
-    "violations",
-    "min_slack",
-    "mean_slack",
-    "runtime_ms",
-)
+_CSV_COLUMNS = tuple(f.name for f in fields(SuiteReport) if f.name != "tightest_instances")
 
 
 def write_csv(reports: Sequence[SuiteReport], path: str) -> None:
@@ -463,12 +434,7 @@ def check_single(check_name: str, input_files: Sequence[str]) -> ChainResult:
     Files are interpreted positionally against the check's signature; the
     caller maps the typed errors to exit codes.
     """
-    try:
-        spec = REGISTRY[check_name]
-    except KeyError:
-        raise InvalidInput(
-            f"unknown check {check_name!r}; available: {', '.join(sorted(REGISTRY))}"
-        ) from None
+    spec = _suite(check_name)
     # Unit vectors load as vectors, every other family as a matrix.
     kinds = ["vector" if family == "unit_vector" else "matrix" for family in spec.arranged(spec.draws)]
     if len(input_files) != len(kinds):

@@ -90,7 +90,7 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
 
 
 def require_same_length(*pairs) -> None:
-    """Check that the named vectors share one length.
+    """Check that the named vectors, or square matrices, share one dimension.
 
     Accepts ``(name, array)`` tuples so error messages can point at the
     offending argument.
@@ -99,7 +99,7 @@ def require_same_length(*pairs) -> None:
     for name, arr in pairs[1:]:
         if arr.shape[0] != base.shape[0]:
             raise DimensionMismatch(
-                f"{name} has length {arr.shape[0]} but {base_name} has length {base.shape[0]}"
+                f"{name} has dimension {arr.shape[0]} but {base_name} has dimension {base.shape[0]}"
             )
 
 

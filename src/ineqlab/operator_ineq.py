@@ -207,10 +207,7 @@ def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainRe
     """
     mat_a = as_square_matrix(A, "A")
     sym_b = require_positive_semidefinite(B, "B")
-    if mat_a.shape != sym_b.shape:
-        raise InvalidInput(
-            f"A has shape {mat_a.shape} but B has shape {sym_b.shape}"
-        )
+    require_same_length(("A", mat_a), ("B", sym_b))
     omega_ab = numerical_radius(mat_a @ sym_b).omega
     radius_a = numerical_radius(mat_a)
     norm_b = operator_norm(sym_b)
@@ -230,10 +227,7 @@ def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sym_a = _require_positive_contraction(A, "A")
     mat_s = as_square_matrix(S, "S")
     mat_t = as_square_matrix(T, "T")
-    if not (sym_a.shape == mat_s.shape == mat_t.shape):
-        raise InvalidInput(
-            f"A, S, T must share one shape; got {sym_a.shape}, {mat_s.shape}, {mat_t.shape}"
-        )
+    require_same_length(("A", sym_a), ("S", mat_s), ("T", mat_t))
     return sym_a, mat_s, mat_t
 
 
@@ -299,8 +293,7 @@ def bourin_property(M, N, power, tolerance: ToleranceConfig | None = None) -> Ch
     power_m = psd_power(mat_m, r, "M")
     mat_n = as_square_matrix(N, "N")
     power_n = psd_power(mat_n, r, "N")
-    if mat_m.shape != mat_n.shape:
-        raise InvalidInput(f"M has shape {mat_m.shape} but N has shape {mat_n.shape}")
+    require_same_length(("M", mat_m), ("N", mat_n))
     lhs = operator_norm(psd_power(0.5 * (mat_m + mat_n), r, "(M+N)/2"))
     rhs = 0.5 * operator_norm(power_m + power_n)
     return make_chain(

@@ -177,6 +177,14 @@ def test_check_dimension_mismatch_exit(tmp_path):
         vector_file(tmp_path, "z.json", [1.0, 0.0, 0.0]),
     ]
     assert main(["check", "buzano", "--in", *files]) == 3
+    eye2 = matrix_file(tmp_path, "eye2.json", np.eye(2))
+    eye3 = matrix_file(tmp_path, "eye3.json", np.eye(3))
+    for name, inputs in (
+        ("corollary37", [eye3, eye2]),
+        ("bourin_r1", [eye3, eye2]),
+        ("corollary38_norm", [eye3, eye3, eye2]),
+    ):
+        assert main(["check", name, "--in", *inputs]) == 3
 
 
 def test_check_usage_errors(tmp_path):

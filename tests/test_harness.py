@@ -89,6 +89,8 @@ def test_run_suite_rejects_unknown_and_mismatched():
         run_suite("not_a_suite", ensemble)
     with pytest.raises(errors.InvalidInput):
         run_suite("theorem_gap", ensemble)
+    with pytest.raises(errors.InvalidInput):
+        run_suite("buzano", ensemble, jobs=0)
 
 
 def test_counterexample_suite_reproduces_violation():
@@ -160,6 +162,7 @@ def test_derive_entry_seed_is_stable():
         lambda doc: doc.update(outptu="r.json"),
         lambda doc: doc["suites"][0].update(seed=-1),
         lambda doc: doc["suites"][0].update(seed=2**64),
+        lambda doc: doc.update(tolerance={"eps_abs": "1e-12"}),
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate):
@@ -169,6 +172,12 @@ def test_parse_config_rejects_bad_documents(mutate):
     }
     mutate(doc)
     with pytest.raises(errors.InvalidInput):
+        parse_config(doc)
+
+
+def test_parse_config_errors_name_the_entry():
+    doc = {"suites": [{"suite": "buzano"}, {"suite": "buzano", "dim": 100}]}
+    with pytest.raises(errors.InvalidInput, match=r"^config: suites\[1\]: "):
         parse_config(doc)
 
 
@@ -361,3 +370,18 @@ def test_check_single_replays_suite_trials(tmp_path, name):
                 assert suite.terms[1:] == check.terms[1:]
                 continue
             assert (suite.terms, suite.slacks, suite.passed) == (check.terms, check.slacks, check.passed)
+
+
+@pytest.mark.parametrize("name", [name for name in suite_names() if len(REGISTRY[name].draws) >= 2])
+def test_check_single_rejects_mixed_dimensions(tmp_path, name):
+    """Each input in turn swapped for its dim-2 draw: check mode raises DimensionMismatch."""
+    spec = REGISTRY[name]
+    drawn = {}
+    for dim in (2, 3):
+        stream = trial_stream(EnsembleConfig(spec.family, dim, derive_entry_seed(name, dim), 1), 0)
+        drawn[dim] = spec.arranged([draw(family, stream, dim) for family in spec.draws])
+    for position in range(len(spec.draws)):
+        inputs = list(drawn[3])
+        inputs[position] = drawn[2][position]
+        with pytest.raises(errors.DimensionMismatch):
+            check_single(name, write_inputs(tmp_path, f"p{position}", inputs))

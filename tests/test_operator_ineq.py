@@ -237,7 +237,7 @@ def test_corollary38_norm_equality_case():
 def test_corollary38_rejects_non_contraction():
     with pytest.raises(errors.SpectrumOutOfRange):
         corollary38_omega_chain(2.0 * np.eye(2), SHIFT, SHIFT)
-    with pytest.raises(errors.InvalidInput):
+    with pytest.raises(errors.DimensionMismatch):
         corollary38_norm_chain(np.eye(2), np.eye(3), np.eye(2))
 
 

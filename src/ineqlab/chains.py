@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import ConvergenceError, InvalidInput
 
 
 # Largest accepted tolerance: far above the shipped 1e-12/1e-9/1e-8, far
@@ -28,8 +28,9 @@ class ToleranceConfig:
     at least -(eps_abs + eps_rel * max|term|).
 
     ``eps_rel_omega`` replaces ``eps_rel`` for chains whose terms include a
-    numerical radius, since those values carry the sweep's own convergence
-    error on top of roundoff.  Every value must be a real number (not a
+    numerical radius.  It is checked, not assumed: such a chain raises
+    ConvergenceError unless each radius is certified, ``upper - omega <=
+    eps_rel_omega * omega``.  Every value must be a real number (not a
     bool or a string) in (0, MAX_TOLERANCE].
     """
 
@@ -91,12 +92,14 @@ def make_chain(
     check_name: str,
     terms: Sequence[tuple[str, float]],
     tolerance: ToleranceConfig | None = None,
-    omega_grade: bool = False,
+    radii: Sequence = (),
 ) -> ChainResult:
     """Assemble a ChainResult from labeled term values.
 
     Values must be finite reals; at least two terms are required for the
-    slack list to be meaningful.
+    slack list to be meaningful.  ``radii`` holds the
+    :class:`~ineqlab.radius.RadiusResult` of every numerical radius in the
+    terms; a chain with any is omega-grade.
     """
     if len(terms) < 2:
         raise InvalidInput(f"{check_name}: a chain needs at least two terms")
@@ -107,7 +110,13 @@ def make_chain(
             raise InvalidInput(f"{check_name}: term {label!r} is not finite")
         values.append(value)
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCE
-    floor = tol.slack_floor(values, omega_grade)
+    for radius in radii:
+        if radius.upper - radius.omega > tol.eps_rel_omega * radius.omega:
+            raise ConvergenceError(
+                f"{check_name}: numerical radius {radius.omega!r} is certified only up to "
+                f"{radius.upper!r}, beyond eps_rel_omega={tol.eps_rel_omega:g}"
+            )
+    floor = tol.slack_floor(values, omega_grade=bool(radii))
     slacks = [values[k + 1] - values[k] for k in range(len(values) - 1)]
     passed = all(s >= -floor for s in slacks)
     return ChainResult(

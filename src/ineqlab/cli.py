@@ -46,10 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     omega_p = sub.add_parser("omega", help="numerical radius of one matrix")
     omega_p.add_argument("--in", dest="input", required=True, metavar="FILE")
-    omega_p.add_argument(
-        "--coarse-points", type=int, default=720,
-        help="angle grid size for the sweep (default 720)",
-    )
     return parser
 
 
@@ -93,9 +89,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_omega(args) -> int:
     try:
-        result = numerical_radius(load_matrix(args.input), args.coarse_points)
+        result = numerical_radius(load_matrix(args.input))
         document = {
             "omega": result.omega,
+            "upper": result.upper,
             "argmax_angle": result.argmax_angle,
             "operator_norm": result.norm,
             "witness": vector_to_json_dict(result.witness),

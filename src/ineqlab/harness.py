@@ -113,7 +113,7 @@ def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: 
             ("operator_norm", radius.norm),
         ],
         tolerance,
-        omega_grade=True,
+        radii=(radius,),
     )
 
 

@@ -208,18 +208,18 @@ def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainRe
     mat_a = as_square_matrix(A, "A")
     sym_b = require_positive_semidefinite(B, "B")
     require_same_length(("A", mat_a), ("B", sym_b))
-    omega_ab = numerical_radius(mat_a @ sym_b).omega
+    radius_ab = numerical_radius(mat_a @ sym_b)
     radius_a = numerical_radius(mat_a)
     norm_b = operator_norm(sym_b)
     return make_chain(
         "corollary37",
         [
-            ("omega_product", omega_ab),
+            ("omega_product", radius_ab.omega),
             ("half_norm_split", 0.5 * norm_b * (radius_a.omega + radius_a.norm)),
             ("three_halves_bound", 1.5 * norm_b * radius_a.omega),
         ],
         tolerance,
-        omega_grade=True,
+        radii=(radius_ab, radius_a),
     )
 
 
@@ -237,16 +237,16 @@ def corollary38_omega_chain(A, S, T, tolerance: ToleranceConfig | None = None) -
     omega(S A T) <= (1/4) || |T|^2 + |S*|^2 || + (1/2) omega(S T).
     """
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    omega_sat = numerical_radius(mat_s @ sym_a @ mat_t).omega
-    omega_st = numerical_radius(mat_s @ mat_t).omega
+    radius_sat = numerical_radius(mat_s @ sym_a @ mat_t)
+    radius_st = numerical_radius(mat_s @ mat_t)
     mod_t_sq = mat_t.conj().T @ mat_t
     mod_s_adj_sq = mat_s @ mat_s.conj().T
-    bound = 0.25 * operator_norm(mod_t_sq + mod_s_adj_sq) + 0.5 * omega_st
+    bound = 0.25 * operator_norm(mod_t_sq + mod_s_adj_sq) + 0.5 * radius_st.omega
     return make_chain(
         "corollary38_omega",
-        [("omega_sandwich", omega_sat), ("moduli_plus_half_omega", bound)],
+        [("omega_sandwich", radius_sat.omega), ("moduli_plus_half_omega", bound)],
         tolerance,
-        omega_grade=True,
+        radii=(radius_sat, radius_st),
     )
 
 
@@ -272,16 +272,16 @@ def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     """
     r = _as_power(power)
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    omega_sat = numerical_radius(mat_s @ sym_a @ mat_t).omega
-    omega_st = numerical_radius(mat_s @ mat_t).omega
+    radius_sat = numerical_radius(mat_s @ sym_a @ mat_t)
+    radius_st = numerical_radius(mat_s @ mat_t)
     mod_t_2r = psd_power(mat_t.conj().T @ mat_t, r, "T*T")
     mod_s_adj_2r = psd_power(mat_s @ mat_s.conj().T, r, "SS*")
-    bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * omega_st**r
+    bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * radius_st.omega**r
     return make_chain(
         f"power_r{_power_tag(r)}",
-        [("omega_sandwich_power", omega_sat**r), ("moduli_power_bound", bound)],
+        [("omega_sandwich_power", radius_sat.omega**r), ("moduli_power_bound", bound)],
         tolerance,
-        omega_grade=True,
+        radii=(radius_sat, radius_st),
     )
 
 
@@ -342,5 +342,5 @@ def final_omega_refinement_chain(T, tolerance: ToleranceConfig | None = None) ->
             ("operator_norm", norm_t),
         ],
         tolerance,
-        omega_grade=True,
+        radii=(radius_t, radius_ur),
     )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ineqlab.chains import MAX_TOLERANCE, ToleranceConfig, make_chain
-from ineqlab.errors import InvalidInput
+from ineqlab.errors import ConvergenceError, InvalidInput
+from ineqlab.radius import RadiusResult
 
 
 def test_slacks_and_verdict():
@@ -37,6 +38,21 @@ def test_omega_grade_widens_relative_band():
     omega = tol.slack_floor([2.0], omega_grade=True)
     assert omega > plain
     assert omega == pytest.approx(tol.eps_abs + tol.eps_rel_omega * 2.0)
+
+
+def radius_with_upper(omega, upper):
+    return RadiusResult(omega=omega, argmax_angle=0.0, witness=np.ones(1, dtype=complex), norm=2.0, upper=upper)
+
+
+def test_radii_make_chain_omega_grade_and_check_certificate():
+    tol = ToleranceConfig()
+    terms = [("omega", 1.0), ("norm", 2.0)]
+    fitted = radius_with_upper(1.0, 1.0 + 0.5 * tol.eps_rel_omega)
+    chain = make_chain("demo", terms, tol, radii=(fitted,))
+    assert chain.tolerance_used == tol.slack_floor([1.0, 2.0], omega_grade=True)
+    loose = radius_with_upper(1.0, 1.0 + 2.0 * tol.eps_rel_omega)
+    with pytest.raises(ConvergenceError):
+        make_chain("demo", terms, tol, radii=(fitted, loose))
 
 
 def test_make_chain_rejects_degenerate_input():

@@ -202,6 +202,7 @@ def test_omega_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["omega"] == pytest.approx(0.5, abs=1e-10)
+    assert doc["omega"] <= doc["upper"] <= doc["omega"] * (1.0 + 1e-10)
     assert doc["operator_norm"] == pytest.approx(1.0, abs=1e-12)
     assert doc["witness"]["rows"] == 2
     assert doc["witness"]["cols"] == 1
@@ -209,5 +210,5 @@ def test_omega_command(tmp_path, capsys):
 
 def test_omega_error_paths(tmp_path):
     assert main(["omega", "--in", str(tmp_path / "missing.json")]) == 2
-    path = matrix_file(tmp_path, "shift.json", [[0.0, 1.0], [0.0, 0.0]])
-    assert main(["omega", "--in", path, "--coarse-points", "4"]) == 2
+    wide = matrix_file(tmp_path, "wide.json", [[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+    assert main(["omega", "--in", wide]) == 2

@@ -1,14 +1,19 @@
-"""Numerical radius sweep: exact cases, sandwich bounds, witness contract,
-pruning equivalence, and the sampling oracle."""
+"""Numerical radius by the level-set method: exact cases, sandwich bounds,
+witness contract, agreement with the grid + golden-section sweep it
+replaced, the certified upper bound, and the sampling oracle."""
+
+import math
 
 import numpy as np
 import pytest
 
+from ineqlab import radius as radius_module
 from ineqlab.errors import DimensionMismatch, InvalidInput
 from ineqlab.linalg import operator_norm
 from ineqlab.radius import (
+    _CERTIFY_TOL,
     _angle_values,
-    _grid_sweep,
+    _crossing_angles,
     _hermitian_parts,
     numerical_radius,
     numerical_radius_sampling_oracle,
@@ -86,45 +91,140 @@ def test_witness_phase_is_deterministic():
     assert pivot.real > 0
 
 
-def test_doubling_grid_barely_moves_result():
-    rng = np.random.default_rng(15)
-    for n in (2, 3, 4, 8):
-        for _ in range(8):
-            t = random_complex(rng, n)
-            base = numerical_radius(t, 720).omega
-            fine = numerical_radius(t, 1440).omega
-            assert abs(base - fine) <= 1e-9 * operator_norm(t)
-
-
-def test_pruned_sweep_matches_full_grid_exactly():
-    rng = np.random.default_rng(16)
-    for n in (2, 3, 5, 9):
-        for _ in range(6):
-            t = random_complex(rng, n)
-            h0, k0 = _hermitian_parts(t)
-            points = 720
-            idx, value = _grid_sweep(h0, k0, points, operator_norm(t))
-            thetas = (2.0 * np.pi / points) * np.arange(points)
-            full = _angle_values(h0, k0, thetas)
-            assert idx == int(np.argmax(full))
-            assert value == float(full.max())
-
-
 def test_config_validation():
-    with pytest.raises(InvalidInput):
-        numerical_radius(SHIFT, 4)
     with pytest.raises(DimensionMismatch):
         numerical_radius(np.ones((2, 3)))
 
 
-def test_more_coarse_points_accepted_and_monotone_safe():
-    # The sweep is a max over evaluations, so more points never lose ground
-    # beyond tolerance.
-    rng = np.random.default_rng(17)
-    t = random_complex(rng, 6)
-    small = numerical_radius(t, 8).omega
-    big = numerical_radius(t, 2880).omega
-    assert small <= big + 1e-9 * operator_norm(t)
+# -- oracle: the grid + golden-section sweep that the level-set method replaced.
+# The sweep scored a Lipschitz-pruned 720-point grid; pruning only skipped
+# provably dominated angles, so scoring the full grid gives the same result.
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _sweep_omega(matrix) -> float:
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if operator_norm(mat) == 0.0:
+        return 0.0
+    h0, k0 = _hermitian_parts(mat)
+    points = 720
+    step = 2.0 * np.pi / points
+    grid = _angle_values(h0, k0, step * np.arange(points))
+    best_idx = int(np.argmax(grid))
+    best_theta, best_value = step * best_idx, float(grid[best_idx])
+
+    def eval_one(theta):
+        return float(np.linalg.eigvalsh(np.cos(theta) * h0 + np.sin(theta) * k0)[-1])
+
+    # Golden-section search on the bracket around the grid winner, keeping
+    # the best point it ever evaluates.
+    a, b = best_theta - step, best_theta + step
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = eval_one(c), eval_one(d)
+    for theta, value in ((c, fc), (d, fd)):
+        if value > best_value:
+            best_theta, best_value = theta, value
+    iterations = 0
+    while (b - a) > 1e-12 and iterations < 200:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = eval_one(d)
+            if fd > best_value:
+                best_theta, best_value = d, fd
+        else:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = eval_one(c)
+            if fc > best_value:
+                best_theta, best_value = c, fc
+        iterations += 1
+
+    h_best = np.cos(best_theta) * h0 + np.sin(best_theta) * k0
+    values, vectors = np.linalg.eigh(0.5 * (h_best + h_best.conj().T))
+    witness = vectors[:, -1] / np.linalg.norm(vectors[:, -1])
+    attained = abs(complex(np.vdot(witness, mat @ witness)))
+    return max(best_value, float(values[-1]), attained)
+
+
+ORACLE_REL = 1e-13
+ROUNDING = 4.0 * np.finfo(float).eps
+DRAW_DIMS = (1, 2, 3, 4, 8, 16)
+
+
+def seeded_draws(per_dim=12):
+    rng = np.random.default_rng(20)
+    return [random_complex(rng, n) for n in DRAW_DIMS for _ in range(per_dim)]
+
+
+def named_cases():
+    rng = np.random.default_rng(21)
+    g = random_complex(rng, 5)
+    unitary, _ = np.linalg.qr(random_complex(rng, 5))
+    return {
+        "shift": (SHIFT, 0.5),
+        "jordan8": (np.diag(np.ones(7), 1), math.cos(math.pi / 9)),
+        "rank_deficient6": (random_complex(rng, 6)[:, :3] @ random_complex(rng, 6)[:3, :], None),
+        "hermitian": (g + g.conj().T, None),
+        "normal": (unitary @ np.diag(rng.standard_normal(5) + 1j * rng.standard_normal(5)) @ unitary.conj().T, None),
+        "real": (rng.standard_normal((6, 6)), None),
+        "one_by_one": (np.array([[2.0 - 1.0j]]), math.sqrt(5.0)),
+        "zero": (np.zeros((3, 3)), 0.0),
+    }
+
+
+def assert_matches_sweep(matrix):
+    omega = numerical_radius(matrix).omega
+    swept = _sweep_omega(matrix)
+    assert abs(omega - swept) <= ORACLE_REL * swept
+    return omega
+
+
+def test_level_set_matches_sweep_on_ginibre_draws():
+    for t in seeded_draws():
+        assert_matches_sweep(t)
+
+
+@pytest.mark.parametrize("name", sorted(named_cases()))
+def test_level_set_matches_sweep_on_named_cases(name):
+    matrix, exact = named_cases()[name]
+    omega = assert_matches_sweep(matrix)
+    if exact is not None:
+        assert omega == pytest.approx(exact, rel=1e-14, abs=1e-300)
+
+
+def test_upper_is_certified_within_1e10():
+    for t in seeded_draws() + [matrix for matrix, _ in named_cases().values()]:
+        result = numerical_radius(t)
+        assert result.omega <= result.upper * (1.0 + ROUNDING)
+        assert result.upper <= result.norm
+        assert result.upper - result.omega <= 1e-10 * result.omega
+
+
+def test_level_test_finds_crossings_below_omega():
+    rng = np.random.default_rng(22)
+    for n in (2, 4, 8):
+        t = random_complex(rng, n)
+        level = 0.99 * numerical_radius(t).omega
+        angles = _crossing_angles(t, level, _CERTIFY_TOL)
+        assert angles is not None and angles.size >= 2
+        h0, k0 = _hermitian_parts(t)
+        for theta in angles:
+            spectrum = np.linalg.eigvalsh(np.cos(theta) * h0 + np.sin(theta) * k0)
+            assert np.min(np.abs(spectrum - level)) <= 1e-9 * level
+
+
+def test_singular_leading_coefficient_falls_back_to_second_centre(monkeypatch):
+    # At level 5/4 the first block of diag(1, 2) vanishes at z = 2, the image
+    # of the first centre, so the leading coefficient is exactly singular.
+    t = np.diag([1.0, 2.0]).astype(complex)
+    expected = np.sort(np.mod([math.acos(0.625), -math.acos(0.625)], 2.0 * np.pi))
+    angles = _crossing_angles(t, 1.25, _CERTIFY_TOL)
+    assert angles is not None
+    assert np.allclose(angles, expected, rtol=0.0, atol=1e-12)
+    monkeypatch.setattr(radius_module, "_CENTRES", radius_module._CENTRES[:1])
+    assert _crossing_angles(t, 1.25, _CERTIFY_TOL) is None
 
 
 def test_sampling_oracle_is_lower_bound_and_deterministic():

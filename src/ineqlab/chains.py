@@ -1,8 +1,10 @@
-"""Chain-of-terms result type and the shared tolerance policy.
+"""Chain-of-terms result types and the shared tolerance policy.
 
 Every inequality checker in this package reduces to the same shape: an
 ordered list of real terms that is claimed to be nondecreasing.  The chain
-verdict lives here so that each checker only has to compute its terms.
+verdict lives here, in one function over a leading trial axis
+(:func:`chain_batch`), so that each checker only has to compute its terms;
+:func:`make_chain` is that verdict on a batch of one.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ class ToleranceConfig:
                     f"tolerance {f.name} must be a number in (0, {MAX_TOLERANCE:g}], got {value!r}"
                 )
 
-    def slack_floor(self, terms: Sequence[float], omega_grade: bool) -> float:
+    def slack_floor(self, terms, omega_grade: bool):
+        """Allowed dip of one chain's terms, or per row of a (trials, terms) block."""
         rel = self.eps_rel_omega if omega_grade else self.eps_rel
-        scale = max((abs(t) for t in terms), default=0.0)
-        return self.eps_abs + rel * scale
+        return self.eps_abs + rel * np.abs(terms).max(axis=-1, initial=0.0)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()
@@ -88,27 +90,63 @@ class ChainResult:
         }
 
 
+@dataclass
+class ChainBatch:
+    """One chain on many trials: row t of every array is trial t.  ``values``
+    is (trials, terms) and ``slacks`` (trials, terms - 1)."""
+
+    check_name: str
+    labels: tuple[str, ...]
+    values: np.ndarray
+    slacks: np.ndarray
+    passed: np.ndarray
+    tolerance_used: np.ndarray
+
+    @classmethod
+    def stack(cls, results: Sequence[ChainResult]) -> ChainBatch:
+        """One row per one-trial result of the same chain."""
+        labels = tuple(label for label, _ in results[0].terms)
+        rows = [(r.values, r.slacks, r.passed, r.tolerance_used) for r in results]
+        return cls(results[0].check_name, labels, *(np.array(column) for column in zip(*rows)))
+
+    def result(self, row: int = 0) -> ChainResult:
+        terms = list(zip(self.labels, self.values[row].tolist()))
+        passed, floor = bool(self.passed[row]), float(self.tolerance_used[row])
+        return ChainResult(self.check_name, terms, self.slacks[row].tolist(), passed, floor)
+
+
+def chain_batch(
+    check_name: str, terms: Sequence[tuple[str, np.ndarray]], tol: ToleranceConfig | None = None, omega_grade=False
+) -> ChainBatch:
+    """The verdict on labeled terms, each an array over the trial axis.
+
+    Values must be finite reals, and a chain needs at least two terms.  A
+    non-finite value raises for the first trial with one, naming its term.
+    """
+    if len(terms) < 2:
+        raise InvalidInput(f"{check_name}: a chain needs at least two terms")
+    labels = tuple(label for label, _ in terms)
+    values = np.array([value for _, value in terms], dtype=np.float64).T.reshape(-1, len(labels))
+    if not np.isfinite(values).all():
+        raise InvalidInput(f"{check_name}: term {labels[np.argwhere(~np.isfinite(values))[0][1]]!r} is not finite")
+    floor = (tol if tol is not None else DEFAULT_TOLERANCE).slack_floor(values, omega_grade)
+    slacks = values[:, 1:] - values[:, :-1]
+    passed = (slacks >= -floor[:, None]).all(axis=1)
+    return ChainBatch(check_name, labels, values, slacks, passed, floor)
+
+
 def make_chain(
     check_name: str,
     terms: Sequence[tuple[str, float]],
     tolerance: ToleranceConfig | None = None,
     radii: Sequence = (),
 ) -> ChainResult:
-    """Assemble a ChainResult from labeled term values.
+    """The ChainResult of one trial: :func:`chain_batch` on a batch of one.
 
-    Values must be finite reals; at least two terms are required for the
-    slack list to be meaningful.  ``radii`` holds the
-    :class:`~ineqlab.radius.RadiusResult` of every numerical radius in the
-    terms; a chain with any is omega-grade.
+    ``radii`` holds the :class:`~ineqlab.radius.RadiusResult` of every
+    numerical radius in the terms; a chain with any is omega-grade.
     """
-    if len(terms) < 2:
-        raise InvalidInput(f"{check_name}: a chain needs at least two terms")
-    values = []
-    for label, value in terms:
-        value = float(value)
-        if not np.isfinite(value):
-            raise InvalidInput(f"{check_name}: term {label!r} is not finite")
-        values.append(value)
+    batch = chain_batch(check_name, terms, tolerance, bool(radii))
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCE
     for radius in radii:
         if radius.upper - radius.omega > tol.eps_rel_omega * radius.omega:
@@ -116,16 +154,7 @@ def make_chain(
                 f"{check_name}: numerical radius {radius.omega!r} is certified only up to "
                 f"{radius.upper!r}, beyond eps_rel_omega={tol.eps_rel_omega:g}"
             )
-    floor = tol.slack_floor(values, omega_grade=bool(radii))
-    slacks = [values[k + 1] - values[k] for k in range(len(values) - 1)]
-    passed = all(s >= -floor for s in slacks)
-    return ChainResult(
-        check_name=check_name,
-        terms=[(label, float(value)) for label, value in terms],
-        slacks=slacks,
-        passed=passed,
-        tolerance_used=floor,
-    )
+    return batch.result()
 
 
 @dataclass

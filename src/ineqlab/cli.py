@@ -54,6 +54,9 @@ def _cmd_run(args) -> int:
     if args.config is not None and any(flag is not None for flag in suite_flags):
         print("error: use either --config or the --suite flag group, not both", file=sys.stderr)
         return 2
+    if args.suite is None and any(flag is not None for flag in suite_flags[1:]):
+        print("error: --dim, --trials and --seed apply only with --suite", file=sys.stderr)
+        return 2
     return run_all(
         args.config if args.config is not None else _flag_config(args),
         jobs=args.jobs,

@@ -4,6 +4,8 @@ Every draw is a pure function of (family, dim, master_seed, trial_index).
 A per-trial stream key is derived by avalanche-mixing the master seed with
 the trial counter (see :mod:`ineqlab.prng`), so trials can be generated in
 any order or concurrently and still agree bit for bit with a serial run.
+A stream over many trial keys draws them all at once: every builder stacks
+one draw per key on a leading axis, and a single draw is a batch of one.
 
 Draw order within a family is pinned and documented on each builder, because
 changing it silently changes every sampled instance.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .linalg import row_norms
 from .prng import Stream, derive_key
 
 FAMILIES = (
@@ -55,9 +58,11 @@ class EnsembleConfig:
             raise InvalidInput(f"master seed must lie in [0, 2^64), got {self.master_seed}")
 
 
-def trial_stream(cfg: EnsembleConfig, trial_index: int) -> Stream:
-    """Fresh generator for one trial; rejects out-of-range indices."""
-    if not (0 <= trial_index < cfg.trials):
+def trial_stream(cfg: EnsembleConfig, trial_index) -> Stream:
+    """Fresh generator for one trial, or for an array of trials (one key
+    each, see :class:`ineqlab.prng.Stream`); rejects out-of-range indices."""
+    indices = trial_index if isinstance(trial_index, np.ndarray) else [trial_index]
+    if not all(0 <= index < cfg.trials for index in indices):
         raise InvalidInput(
             f"trial_index {trial_index} outside [0, {cfg.trials}) for this config"
         )
@@ -66,13 +71,17 @@ def trial_stream(cfg: EnsembleConfig, trial_index: int) -> Stream:
 
 def draw_ginibre(stream: Stream, dim: int) -> np.ndarray:
     """dim^2 i.i.d. standard complex Gaussians, filled row-major."""
-    return stream.complex_gaussians(dim * dim).reshape(dim, dim)
+    return stream.complex_gaussians(dim * dim).reshape(-1, dim, dim)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def draw_hermitian(stream: Stream, dim: int) -> np.ndarray:
     """Hermitian part of one Ginibre draw."""
     g = draw_ginibre(stream, dim)
-    return 0.5 * (g + g.conj().T)
+    return 0.5 * (g + _adjoint(g))
 
 
 def draw_psd(stream: Stream, dim: int) -> np.ndarray:
@@ -83,11 +92,11 @@ def draw_psd(stream: Stream, dim: int) -> np.ndarray:
     (0, 1], so the result is never the zero operator.
     """
     g = draw_ginibre(stream, dim)
-    w = g.conj().T @ g
-    w = 0.5 * (w + w.conj().T)
-    top = float(np.linalg.eigvalsh(w)[-1])
-    scale = 2.0 * float(stream.uniforms_open(1)[0])
-    return w * (scale / top)
+    w = _adjoint(g) @ g
+    w = 0.5 * (w + _adjoint(w))
+    top = np.linalg.eigvalsh(w)[:, -1]
+    scale = 2.0 * stream.uniforms_open(1).reshape(-1)
+    return w * (scale / top)[:, None, None]
 
 
 def draw_unitary(stream: Stream, dim: int) -> np.ndarray:
@@ -95,38 +104,38 @@ def draw_unitary(stream: Stream, dim: int) -> np.ndarray:
     pushed into Q so the factorization is unambiguous."""
     g = draw_ginibre(stream, dim)
     q, r = np.linalg.qr(g)
-    d = np.diag(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _spectral(v: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Symmetrized V diag(spectrum) V* of each trial."""
+    m = (v * spectrum.reshape(v.shape[0], 1, -1)) @ _adjoint(v)
+    return 0.5 * (m + _adjoint(m))
 
 
 def draw_positive_contraction(stream: Stream, dim: int) -> np.ndarray:
     """V diag(u) V* with u uniform in [0,1): order is dim^2 Gaussians for the
     unitary V, then dim uniforms for the spectrum."""
     v = draw_unitary(stream, dim)
-    u = stream.uniforms(dim)
-    m = (v * u) @ v.conj().T
-    return 0.5 * (m + m.conj().T)
+    return _spectral(v, stream.uniforms(dim))
 
 
 def draw_projection(stream: Stream, dim: int) -> np.ndarray:
     """V diag(bits) V*: order is dim^2 Gaussians for V, then dim uniforms
     thresholded at 1/2 for the 0/1 pattern.  Rank 0 and rank dim can occur."""
     v = draw_unitary(stream, dim)
-    bits = (stream.uniforms(dim) < 0.5).astype(np.float64)
-    m = (v * bits) @ v.conj().T
-    return 0.5 * (m + m.conj().T)
+    return _spectral(v, (stream.uniforms(dim) < 0.5).astype(np.float64))
 
 
 def draw_unit_vector(stream: Stream, dim: int) -> np.ndarray:
-    """Normalized complex Gaussian vector (dim draws)."""
-    vec = stream.complex_gaussians(dim)
-    length = float(np.linalg.norm(vec))
-    if length == 0.0:
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[0] = 1.0
-        return vec
-    return vec / length
+    """Normalized complex Gaussian vector (dim draws); e_1 if all are zero."""
+    vec = stream.complex_gaussians(dim).reshape(-1, dim)
+    length = row_norms(vec)
+    if not length.all():
+        vec[length == 0.0], length[length == 0.0] = np.eye(1, dim), 1.0
+    return vec / length[:, None]
 
 
 _BUILDERS = {
@@ -141,11 +150,13 @@ _BUILDERS = {
 
 
 def draw(family: str, stream: Stream, dim: int) -> np.ndarray:
-    """Dispatch one draw of the named family on an existing stream."""
+    """Dispatch one draw of the named family on an existing stream: one array
+    for a one-key stream, a stack with one row per key for a batched one."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
         raise InvalidInput(
             f"unknown ensemble family {family!r}; expected one of {', '.join(FAMILIES)}"
         ) from None
-    return builder(stream, dim)
+    drawn = builder(stream, dim)
+    return drawn if stream.batched else drawn[0]

@@ -8,6 +8,10 @@ row's inputs, and evaluates the chain; ``check_single`` loads the same
 inputs from JSON files and calls the same chain.  Reports are therefore a
 pure function of the config, except for the runtime fields.
 
+``run_suite`` walks the trials in chunks of ``TRIAL_CHUNK`` along a trial
+axis; a chunk draws each input in one call, and a batch-native kernel takes
+it whole.  Every number is the one-trial evaluation's, whatever chunks or jobs.
+
 One suite is special: ``remark36_counterexample`` evaluates a bound on a
 fixed non-PSD operator where the bound genuinely fails.  That suite counts
 as passing only when the violation is reproduced exactly (slack -1/2), and
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import operator_ineq as op_ineq
 from . import vector_ineq as vec_ineq
-from .chains import ChainResult, ToleranceConfig, make_chain
+from .chains import ChainBatch, ChainResult, ToleranceConfig, make_chain
 from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
 from .linalg import load_matrix, load_vector, read_json
@@ -42,6 +46,9 @@ ORACLE_SUITE_SAMPLES = 512
 ORACLE_CHECK_SAMPLES = 10000
 COUNTEREXAMPLE_SLACK = -0.5
 COUNTEREXAMPLE_TOL = 1e-12
+# Trials per evaluation call of run_suite; bounds the memory of a batched
+# chunk (a (TRIAL_CHUNK, 64, 64) complex stack is 8 MB).
+TRIAL_CHUNK = 128
 
 _COUNTEREXAMPLE_A = [[0.0, 1.0], [0.0, 0.0]]
 _COUNTEREXAMPLE_X = [0.0, 1.0]
@@ -61,6 +68,8 @@ class SuiteSpec:
     draw order; the first one is the suite's family.  ``order`` maps draw
     positions to argument positions where the two differ.  ``chain`` gets
     the inputs positionally, then ``tolerance`` and the fixed ``kwargs``.
+    ``batch``, when set, is the same chain's batch-native kernel: it takes
+    the inputs with a leading trial axis and returns a ``ChainBatch``.
 
     Two suites need more than a draw:
 
@@ -81,6 +90,7 @@ class SuiteSpec:
     default_trials: int = 500
     suite_inputs: tuple | None = None
     suite_samples: int | None = None
+    batch: Callable[..., ChainBatch] | None = None
 
     @property
     def family(self) -> str:
@@ -90,15 +100,24 @@ class SuiteSpec:
         """Inputs in draw order, rearranged into argument order."""
         return list(inputs) if self.order is None else [inputs[i] for i in self.order]
 
-    def evaluate(self, stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult:
-        """One random trial: draw the inputs from ``stream`` and evaluate the chain."""
-        if self.suite_inputs is not None:
-            return self.chain(*self.suite_inputs, tolerance=tol, **self.kwargs)
-        inputs = self.arranged([draw(family, stream, dim) for family in self.draws])
-        kwargs = self.kwargs
-        if self.suite_samples is not None:
-            kwargs = {"samples": self.suite_samples, "seed": int(stream.raw(1)[0])}
-        return self.chain(*inputs, tolerance=tol, **kwargs)
+    def evaluate(self, stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult | ChainBatch:
+        """Draw the inputs from ``stream`` (every key at once) and evaluate the
+        chain: one ChainResult, or a ChainBatch row per key.  A chain without a
+        batch kernel, or a batch that raised, goes row by row: the first failing
+        trial raises."""
+        drawn = [draw(family, stream, dim) for family in self.draws] if self.suite_inputs is None else None
+        seeds = stream.raw(1).reshape(-1) if self.suite_samples is not None else None
+        if stream.batched and self.batch is not None:
+            try:
+                return self.batch(*self.arranged(drawn), tolerance=tol, **self.kwargs)
+            except IneqLabError:
+                pass
+        results = []
+        for row in range(stream.keys.size):
+            inputs = self.suite_inputs or self.arranged([x[row] if stream.batched else x for x in drawn])
+            kwargs = self.kwargs if seeds is None else {"samples": self.suite_samples, "seed": int(seeds[row])}
+            results.append(self.chain(*inputs, tolerance=tol, **kwargs))
+        return ChainBatch.stack(results) if stream.batched else results[0]
 
 
 def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: int) -> ChainResult:
@@ -120,14 +139,18 @@ def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: 
 def _build_registry() -> dict[str, SuiteSpec]:
     v, xy = "unit_vector", ("unit_vector", "unit_vector")
     sandwich = ("positive_contraction", "ginibre", "ginibre")
+
+    def vector(name, draws, chain, batch, kwargs=None) -> SuiteSpec:
+        return SuiteSpec(name, draws, chain, kwargs or {}, default_trials=1000, batch=batch)
+
     specs = [
-        SuiteSpec("buzano", (v, v, v), vec_ineq.buzano_chain, default_trials=1000),
-        SuiteSpec("lemma21", (v, v, v), vec_ineq.lemma21_chain, default_trials=1000),
-        SuiteSpec("cs_refinement", (v, v, v), vec_ineq.cs_refinement_chain, default_trials=1000),
-        SuiteSpec("krein_triangle", (v, v, v), vec_ineq.krein_triangle, default_trials=1000),
-        SuiteSpec("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined, default_trials=1000),
-        SuiteSpec("psi_infimum", (v, v), vec_ineq.psi_infimum_property, {"grid": PSI_GRID}, default_trials=1000),
-        SuiteSpec("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano, default_trials=1000),
+        vector("buzano", (v, v, v), vec_ineq.buzano_chain, vec_ineq.buzano_batch),
+        vector("lemma21", (v, v, v), vec_ineq.lemma21_chain, vec_ineq.lemma21_batch),
+        vector("cs_refinement", (v, v, v), vec_ineq.cs_refinement_chain, vec_ineq.cs_refinement_batch),
+        vector("krein_triangle", (v, v, v), vec_ineq.krein_triangle, vec_ineq.krein_triangle_batch),
+        vector("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined, vec_ineq.lin_triangle_refined_batch),
+        vector("psi_infimum", (v, v), vec_ineq.psi_infimum_property, vec_ineq.psi_infimum_batch, {"grid": PSI_GRID}),
+        vector("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano, vec_ineq.projection_buzano_batch),
         SuiteSpec("lemma_2A", ("psd", *xy), op_ineq.lemma_2A_chain),
         SuiteSpec("theorem_gap", ("positive_contraction", *xy), op_ineq.theorem_gap_chain),
         SuiteSpec("corollary33", ("positive_contraction", *xy), op_ineq.corollary33_chain),
@@ -214,33 +237,33 @@ def run_suite(
 ) -> SuiteReport:
     """Evaluate one suite over all trials of the ensemble plan.
 
-    With jobs > 1 the trials run on a thread pool; results are merged in
-    trial order, so the report matches a serial run exactly.
+    The trials go in chunks of TRIAL_CHUNK; with jobs > 1 the chunks run on
+    a thread pool and merge in trial order, so no number depends on jobs.
     """
     spec = _suite(suite_name, ensemble.family)
     if jobs < 1:
         raise InvalidInput(f"jobs must be at least 1, got {jobs}")
     tolerance = tol if tol is not None else ToleranceConfig()
+    starts = range(0, ensemble.trials, TRIAL_CHUNK)
+    chunks = [range(start, min(start + TRIAL_CHUNK, ensemble.trials)) for start in starts]
 
-    def one_trial(index: int) -> tuple[float, bool]:
-        stream = trial_stream(ensemble, index)
-        result = spec.evaluate(stream, ensemble.dim, tolerance)
-        return result.min_slack, result.passed
+    def outcomes(trials: range) -> tuple[np.ndarray, np.ndarray]:
+        batch = spec.evaluate(trial_stream(ensemble, np.array(trials)), ensemble.dim, tolerance)
+        return batch.slacks.min(axis=1), batch.passed
 
     start = time.perf_counter()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one_trial, range(ensemble.trials)))
+            parts = list(pool.map(outcomes, chunks))
     else:
-        outcomes = [one_trial(index) for index in range(ensemble.trials)]
+        parts = list(map(outcomes, chunks))
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
 
-    slacks = np.array([slack for slack, _ in outcomes], dtype=np.float64)
-    violations = sum(1 for _, passed in outcomes if not passed)
-    order = sorted(range(len(outcomes)), key=lambda i: (slacks[i], i))
+    slacks = np.concatenate([slack for slack, _ in parts])
+    passed = np.concatenate([ok for _, ok in parts])
     tightest = [
-        {"seed": ensemble.master_seed, "trial": index, "slack": float(slacks[index])}
-        for index in order[:TIGHTEST_KEEP]
+        {"seed": ensemble.master_seed, "trial": int(index), "slack": float(slacks[index])}
+        for index in np.argsort(slacks, kind="stable")[:TIGHTEST_KEEP]
     ]
     return SuiteReport(
         suite_name=suite_name,
@@ -248,7 +271,7 @@ def run_suite(
         dim=ensemble.dim,
         seed=ensemble.master_seed,
         trials=ensemble.trials,
-        violations=violations,
+        violations=int(np.count_nonzero(~passed)),
         min_slack=float(slacks.min()),
         mean_slack=float(slacks.mean()),
         tightest_instances=tightest,

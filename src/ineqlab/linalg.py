@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DimensionMismatch,
     InvalidInput,
     NotHermitian,
@@ -42,8 +41,6 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-10
 PSD_CLAMP_REL = 1e-9
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -164,72 +161,6 @@ def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
     return EigenDecomposition(values[order].astype(np.float64), vectors[:, order])
 
 
-def jacobi_hermitian_eigen(matrix) -> EigenDecomposition:
-    """Cyclic Jacobi eigensolver for Hermitian matrices.
-
-    Independent of the LAPACK path in :func:`hermitian_eigen`; the test suite
-    cross-checks the two.  Sweeps stop when the off-diagonal Frobenius mass
-    falls below 1e-13 times the Frobenius norm of the input, with a hard cap
-    of 100 sweeps.
-    """
-    work = _symmetrized(matrix, "matrix")
-    n = work.shape[0]
-    basis = np.eye(n, dtype=np.complex128)
-    scale = float(np.linalg.norm(work))
-    if n == 1 or scale == 0.0:
-        values = np.real(np.diag(work)).astype(np.float64)
-        order = np.argsort(values)[::-1]
-        return EigenDecomposition(values[order], basis[:, order])
-    target = JACOBI_OFF_TOL * scale
-
-    def off_diag_mass(a: np.ndarray) -> float:
-        # Summing the off-diagonal entries directly avoids the cancellation
-        # that a total-minus-diagonal formula hits near convergence.
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_diag_mass(work) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = work[p, q]
-                mag = abs(b)
-                if mag == 0.0:
-                    continue
-                phase = b / mag
-                app = work[p, p].real
-                aqq = work[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # 2x2 unitary: diag phase factor times a real rotation.
-                rot = np.array(
-                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=np.complex128,
-                )
-                work[:, [p, q]] = work[:, [p, q]] @ rot
-                work[[p, q], :] = rot.conj().T @ work[[p, q], :]
-                basis[:, [p, q]] = basis[:, [p, q]] @ rot
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweep limit {JACOBI_MAX_SWEEPS} reached with off-diagonal mass "
-            f"{off_diag_mass(work):.3e} above target {target:.3e}"
-        )
-    values = np.real(np.diag(work)).astype(np.float64)
-    order = np.argsort(values)[::-1]
-    return EigenDecomposition(values[order], basis[:, order])
-
-
 def operator_norm(matrix) -> float:
     """Largest singular value."""
     mat = as_matrix(matrix)
@@ -330,16 +261,26 @@ def require_positive_semidefinite(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def require_orthogonal_projection(matrix, name: str = "matrix") -> np.ndarray:
-    """Validate P = P* = P^2 to HERMITIAN_TOL entrywise."""
-    mat = as_square_matrix(matrix, name)
-    if hermitian_deviation(mat) > HERMITIAN_TOL:
+    """Validate P = P* = P^2 to HERMITIAN_TOL entrywise; a (trials, d, d)
+    stack is checked per trial and raises for its first failing trial."""
+    mat = np.asarray(matrix) if np.ndim(matrix) == 3 else as_square_matrix(matrix, name)
+    stack = mat.reshape(-1, *mat.shape[-2:])
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
+    idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
+    failed = np.flatnonzero((herm > HERMITIAN_TOL) | (idem > HERMITIAN_TOL))
+    if failed.size and herm[failed[0]] > HERMITIAN_TOL:
         raise NotOrthogonalProjection(f"{name}: not Hermitian to tolerance {HERMITIAN_TOL:.3e}")
-    dev = float(np.max(np.abs(mat @ mat - mat)))
-    if dev > HERMITIAN_TOL:
+    if failed.size:
         raise NotOrthogonalProjection(
-            f"{name}: max|P^2 - P| = {dev:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
+            f"{name}: max|P^2 - P| = {idem[failed[0]]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
         )
     return mat
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, per row bit-identical to the 1-D
+    ``np.linalg.norm`` (which sums the real and imaginary squares apart)."""
+    return np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
 
 
 def require_nonzero_vector(vector: np.ndarray, name: str = "vector") -> None:

@@ -8,6 +8,10 @@ arithmetic and any draw can be regenerated without replaying the stream.
 Gaussians come from the polar form of Box-Muller, so no platform library
 distribution is involved anywhere.
 
+A stream may hold one key per trial of a chunk: ``raw(count)`` then returns
+a ``(trials, count)`` block from one vectorized call, whose row t is exactly
+what trial t's key alone gives.
+
 Pinned constants:
 
 * ``GAMMA  = 0x9E3779B97F4A7C15``  (2^64 / golden ratio, counter increment)
@@ -40,9 +44,13 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_key(master_seed: int, index: int) -> int:
-    """Per-trial stream key: avalanche of the seed advanced by the trial counter."""
-    return mix64((master_seed + (index + 1) * GAMMA) & _MASK)
+def derive_key(master_seed: int, index):
+    """Per-trial stream key: avalanche of the seed advanced by the trial
+    counter; an index array gives a uint64 key per trial."""
+    if not isinstance(index, np.ndarray):
+        return mix64((master_seed + (int(index) + 1) * GAMMA) & _MASK)
+    counters = np.asarray(index, dtype=np.uint64) + np.uint64(1)
+    return _mix64_array(np.uint64(master_seed & _MASK) + counters * _U64_GAMMA)
 
 
 def _mix64_array(states: np.ndarray) -> np.ndarray:
@@ -53,23 +61,25 @@ def _mix64_array(states: np.ndarray) -> np.ndarray:
 
 
 class Stream:
-    """Sequential view over the counter-based generator for one key.
+    """Sequential view over the counter-based generator for one key, or for
+    an array of per-trial keys (``batched``) advancing together; draws have
+    shape ``(count,)`` or ``(trials, count)``.
 
     Draw order is part of every consumer's determinism contract: callers must
     request values in a fixed order.
     """
 
-    def __init__(self, key: int):
-        self.key = key & _MASK
+    def __init__(self, key):
+        self.keys = np.asarray(key if isinstance(key, np.ndarray) else key & _MASK, dtype=np.uint64)
+        self.batched = self.keys.ndim == 1
         self._cursor = 0
 
     def raw(self, count: int) -> np.ndarray:
-        """Next ``count`` uint64 outputs."""
+        """Next ``count`` uint64 outputs of every key."""
         start = self._cursor
         self._cursor += count
         counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        states = np.uint64(self.key) + counters * _U64_GAMMA
-        return _mix64_array(states)
+        return _mix64_array(self.keys[..., None] + counters * _U64_GAMMA)
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform float64 in [0, 1), 53-bit resolution."""
@@ -87,7 +97,7 @@ class Stream:
         Consumes two uint64 draws per value, interleaved (u1_0, u2_0, u1_1, ...).
         """
         raw = self.raw(2 * count)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG_53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+        u1 = ((raw[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG_53
+        u2 = (raw[..., 1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
         radius = np.sqrt(-np.log(u1))
         return radius * np.exp(2j * np.pi * u2)

@@ -1,69 +1,89 @@
-"""Inner-product inequality chains on vectors.
+"""Inner-product inequality chains on vectors, over a leading trial axis.
 
-Each checker evaluates the terms of one inequality chain exactly as written
-and delegates the verdict to :func:`ineqlab.chains.make_chain`.  Angle-based
-checks reject zero vectors (the angle is undefined); product-based chains
-accept them, since every term is still well defined.
+Each chain is one kernel, ``<chain>_batch``, whose inputs carry one row per
+trial and whose terms are arrays over that axis; the public chain validates
+one trial's inputs and runs the kernel on a batch of one.  The kernels use
+only per-row or elementwise operations that round as the one-trial Python
+arithmetic did, so no row depends on the batch around it.
+
+Angle-based checks reject zero vectors (the angle is undefined);
+product-based chains accept them, since every term is still well defined.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .chains import AngleResult, ChainResult, ToleranceConfig, make_chain
+from .chains import AngleResult, ChainBatch, ChainResult, ToleranceConfig, chain_batch
 from .errors import InvalidInput
 from .linalg import (
+    as_square_matrix,
     as_vector,
     require_nonzero_vector,
     require_operator_on,
     require_orthogonal_projection,
     require_same_length,
+    row_norms,
 )
 
-
-def _clamped_sqrt(value: float) -> float:
-    """sqrt with the radicand clamped at zero against rounding dips."""
-    return float(np.sqrt(max(value, 0.0)))
+# Entries of one (trials, dim, grid) block of the psi phase grid.
+_PSI_BLOCK_ENTRIES = 1 << 16
 
 
-def _vectors(*pairs) -> list[np.ndarray]:
+def _rows(*pairs) -> list[np.ndarray]:
+    """One trial's named vectors, validated, as batches of one."""
     coerced = [(name, as_vector(value, name)) for name, value in pairs]
     require_same_length(*coerced)
-    return [vec for _, vec in coerced]
+    return [vec[None, :] for _, vec in coerced]
 
 
 def _units(*pairs) -> list[np.ndarray]:
-    """Validated nonzero vectors scaled to unit norm, for the angle checks."""
-    vectors = _vectors(*pairs)
-    for (name, _), vec in zip(pairs, vectors):
-        require_nonzero_vector(vec, name)
-    return [vec / np.linalg.norm(vec) for vec in vectors]
+    """Named (trials, dim) vectors scaled to unit norm per row.  A zero row
+    raises for the first trial that has one, naming its first zero input."""
+    norms = [row_norms(vec) for _, vec in pairs]
+    for trial in np.flatnonzero(np.any([n == 0.0 for n in norms], axis=0))[:1]:
+        for name, vec in pairs:
+            require_nonzero_vector(vec[trial], name)
+    return [vec / n[:, None] for (_, vec), n in zip(pairs, norms)]
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> complex:
-    # Linear in the first slot; inputs are validated by the callers.
-    return complex(np.vdot(y, x))
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.vecdot(y, x)  # linear in the first slot, one value per row
 
 
-def _unit_angle(u: np.ndarray, w: np.ndarray) -> float:
+def _abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)  # rounds as Python's abs(complex)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product rounded as Python's (numpy's own loop may fuse)."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    return np.float_power(x, 2.0)  # Python's x**2 (C pow); x*x differs in ~0.1% of cases
+
+
+def _unit_angle(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Angle between unit vectors as 2*atan2(|u - w|, |u + w|).
 
     Unlike acos of the cosine ratio, this stays accurate to machine epsilon
     at nearly parallel and nearly opposite inputs, so collinear vectors get
     an exact zero (or pi) instead of a sqrt(epsilon)-sized artifact.
     """
-    diff = float(np.linalg.norm(u - w))
-    total = float(np.linalg.norm(u + w))
-    return 2.0 * float(np.arctan2(diff, total))
+    return 2.0 * np.arctan2(row_norms(u - w), row_norms(u + w))
 
 
-def _psi_of_units(u: np.ndarray, w: np.ndarray) -> float:
+def _psi_of_units(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Phase-minimized angle: rotate u so the inner product is real
     nonnegative, then measure the plain angle."""
     ip = _inner(u, w)
-    mag = abs(ip)
-    phase = ip / mag if mag > 0.0 else 1.0
-    return _unit_angle(u * np.conj(phase), w)
+    mag = _abs(ip)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    phase = np.where(mag > 0.0, ip.real, 1.0) / safe + 1j * (ip.imag / safe)
+    return _unit_angle(u * np.conj(phase)[:, None], w)
 
 
 def angles(x, y) -> AngleResult:
@@ -75,14 +95,43 @@ def angles(x, y) -> AngleResult:
     psi or phi can disagree with acos of the reported cosine by about one
     ulp near the endpoints, in the angle's favor.
     """
-    u, w = _units(("x", x), ("y", y))
-    ip = _inner(u, w)
+    xv, yv = _rows(("x", x), ("y", y))
+    u, w = _units(("x", xv), ("y", yv))
+    ip = complex(_inner(u, w)[0])
     return AngleResult(
         cos_psi=min(1.0, abs(ip)),
-        psi=_psi_of_units(u, w),
+        psi=float(_psi_of_units(u, w)[0]),
         cos_phi=min(1.0, max(-1.0, ip.real)),
-        phi=_unit_angle(u, w),
+        phi=float(_unit_angle(u, w)[0]),
     )
+
+
+@lru_cache(maxsize=4)
+def _phase_table(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of e^{i theta} on the grid, built once."""
+    table = np.exp(1j * (2.0 * np.pi * np.arange(grid) / grid))
+    cos, sin = table.real.copy(), table.imag.copy()
+    cos.flags.writeable = sin.flags.writeable = False  # cached: shared by every caller
+    return cos, sin
+
+
+def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    if grid < 8:
+        raise InvalidInput(f"grid must be at least 8, got {grid}")
+    u, w = _units(("x", x), ("y", y))
+    cos, sin = _phase_table(grid)
+    rows = max(1, _PSI_BLOCK_ENTRIES // (grid * u.shape[1]))
+    min_phi = np.empty(u.shape[0])
+    for start in range(0, u.shape[0], rows):
+        ub, wb = u[start : start + rows, :, None], w[start : start + rows, :, None]
+        # e^{i theta} u on every phase, in real arithmetic over (trials, dim, grid).
+        re, im = cos * ub.real - sin * ub.imag, cos * ub.imag + sin * ub.real
+        minus = np.sum((re - wb.real) ** 2 + (im - wb.imag) ** 2, axis=1)
+        plus = np.sum((re + wb.real) ** 2 + (im + wb.imag) ** 2, axis=1)
+        min_phi[start : start + rows] = 2.0 * np.arctan2(np.sqrt(minus), np.sqrt(plus)).min(axis=1)
+    psi = _psi_of_units(u, w)
+    terms = [("psi", psi), ("min_phase_phi", min_phi), ("psi_plus_grid_band", psi + np.pi / grid)]
+    return chain_batch("psi_infimum", terms, tolerance)
 
 
 def psi_infimum_property(x, y, grid: int = 360, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -92,39 +141,34 @@ def psi_infimum_property(x, y, grid: int = 360, tolerance: ToleranceConfig | Non
     psi and psi + pi/grid: psi is a true lower bound for every phase, and the
     grid places some phase within pi/grid of the optimal one.
     """
-    if grid < 8:
-        raise InvalidInput(f"grid must be at least 8, got {grid}")
-    u, w = _units(("x", x), ("y", y))
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    rotated = np.exp(1j * thetas)[:, None] * u[None, :]
-    grid_phi = 2.0 * np.arctan2(
-        np.linalg.norm(rotated - w[None, :], axis=1),
-        np.linalg.norm(rotated + w[None, :], axis=1),
-    )
-    min_phi = float(grid_phi.min())
-    psi = _psi_of_units(u, w)
-    return make_chain(
-        "psi_infimum",
-        [
-            ("psi", psi),
-            ("min_phase_phi", min_phi),
-            ("psi_plus_grid_band", psi + np.pi / grid),
-        ],
-        tolerance,
-    )
+    return psi_infimum_batch(*_rows(("x", x), ("y", y)), grid=grid, tolerance=tolerance).result()
+
+
+def krein_triangle_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
+    terms = [("phi_xz", _unit_angle(ux, uz)), ("phi_xy_plus_phi_yz", _unit_angle(ux, uy) + _unit_angle(uy, uz))]
+    return chain_batch("krein_triangle", terms, tolerance)
 
 
 def krein_triangle(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Triangle inequality for the real-part angle phi."""
+    return krein_triangle_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+
+
+def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
-    phi_xz = _unit_angle(ux, uz)
-    phi_xy = _unit_angle(ux, uy)
-    phi_yz = _unit_angle(uy, uz)
-    return make_chain(
-        "krein_triangle",
-        [("phi_xz", phi_xz), ("phi_xy_plus_phi_yz", phi_xy + phi_yz)],
-        tolerance,
-    )
+    p_xy = _psi_of_units(ux, uy)
+    p_xz = _psi_of_units(ux, uz)
+    p_zy = _psi_of_units(uz, uy)
+    # 1 - g = vers(p_xy) + min of the two sign resolutions of
+    # sin(p_xz) sin(p_zy) -+ (cos(p_xy) - cos(p_xz) cos(p_zy)), each a
+    # product-to-sum difference of cosines.
+    near = np.sin(0.5 * (p_xy + p_xz - p_zy)) * np.sin(0.5 * (p_xy - p_xz + p_zy))
+    far = np.sin(0.5 * (p_xy + p_xz + p_zy)) * np.sin(0.5 * (p_xz + p_zy - p_xy))
+    one_minus_g = 2.0 * _sq(np.sin(0.5 * p_xy)) + 2.0 * np.minimum(near, far)
+    middle = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(one_minus_g, 0.0) / 2.0)))
+    terms = [("psi_xy", p_xy), ("refined_bound", middle), ("psi_xz_plus_psi_zy", p_xz + p_zy)]
+    return chain_batch("lin_triangle_refined", terms, tolerance)
 
 
 def lin_triangle_refined(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -146,45 +190,39 @@ def lin_triangle_refined(x, y, z, tolerance: ToleranceConfig | None = None) -> C
     so degenerate (collinear) triples come out exact instead of picking up
     sqrt(epsilon)-sized angles.
     """
-    ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
-    p_xy = _psi_of_units(ux, uy)
-    p_xz = _psi_of_units(ux, uz)
-    p_zy = _psi_of_units(uz, uy)
-    # 1 - g = vers(p_xy) + min of the two sign resolutions of
-    # sin(p_xz) sin(p_zy) -+ (cos(p_xy) - cos(p_xz) cos(p_zy)), each a
-    # product-to-sum difference of cosines.
-    near = np.sin(0.5 * (p_xy + p_xz - p_zy)) * np.sin(0.5 * (p_xy - p_xz + p_zy))
-    far = np.sin(0.5 * (p_xy + p_xz + p_zy)) * np.sin(0.5 * (p_xz + p_zy - p_xy))
-    one_minus_g = 2.0 * np.sin(0.5 * p_xy) ** 2 + 2.0 * min(float(near), float(far))
-    half = min(1.0, float(np.sqrt(max(one_minus_g, 0.0) / 2.0)))
-    middle = 2.0 * float(np.arcsin(half))
-    return make_chain(
-        "lin_triangle_refined",
-        [
-            ("psi_xy", p_xy),
-            ("refined_bound", middle),
-            ("psi_xz_plus_psi_zy", p_xz + p_zy),
-        ],
-        tolerance,
-    )
+    return lin_triangle_refined_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+
+
+def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
+    pair = _abs(_inner(x, z)) * _abs(_inner(y, z))
+    bound = 0.5 * _sq(nz) * (_abs(_inner(x, y)) + nx * ny)
+    terms = [("inner_product_pair", pair), ("buzano_bound", bound), ("cauchy_schwarz_twice", _sq(nz) * nx * ny)]
+    return chain_batch("buzano", terms, tolerance)
 
 
 def buzano_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
-    xv, yv, zv = _vectors(("x", x), ("y", y), ("z", z))
-    nx, ny, nz = (float(np.linalg.norm(v)) for v in (xv, yv, zv))
-    term1 = abs(_inner(xv, zv)) * abs(_inner(yv, zv))
-    term2 = 0.5 * nz**2 * (abs(_inner(xv, yv)) + nx * ny)
-    term3 = nz**2 * nx * ny
-    return make_chain(
-        "buzano",
-        [
-            ("inner_product_pair", term1),
-            ("buzano_bound", term2),
-            ("cauchy_schwarz_twice", term3),
-        ],
-        tolerance,
-    )
+    return buzano_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+
+
+def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
+    """Product of the Cauchy-Schwarz defect radicals of (x, z) and (y, z),
+    each radicand clamped at zero against rounding dips."""
+    x_side = np.maximum(_sq(nx) * _sq(nz) - _sq(_abs(i_xz)), 0.0)
+    return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(_abs(i_yz)), 0.0))
+
+
+def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
+    i_xz, i_zy, i_yz, i_xy = _inner(x, z), _inner(z, y), _inner(y, z), _inner(x, y)
+    pair_mod = _abs(_mul(i_xz, i_yz))
+    deviation = _abs(i_xy * _sq(nz) - _mul(i_xz, i_zy))
+    base = pair_mod + _abs(i_xy) * _sq(nz)
+    radical = 0.5 * (base + _defect_radical(nx, ny, nz, i_xz, i_yz))
+    terms = [("inner_product_pair", _abs(_mul(i_xz, i_zy))), ("triangle_split", 0.5 * (base + deviation))]
+    terms += [("defect_radical_bound", radical), ("buzano_bound", 0.5 * _sq(nz) * (nx * ny + _abs(i_xy)))]
+    return chain_batch("lemma21", terms, tolerance)
 
 
 def lemma21_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -194,66 +232,33 @@ def lemma21_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainRes
     <x,y>||z||^2 - <x,z><z,y>, then by bounding that deviation with the
     Cauchy-Schwarz defect radicals.
     """
-    xv, yv, zv = _vectors(("x", x), ("y", y), ("z", z))
-    nx, ny, nz = (float(np.linalg.norm(v)) for v in (xv, yv, zv))
-    i_xz = _inner(xv, zv)
-    i_zy = _inner(zv, yv)
-    i_yz = _inner(yv, zv)
-    i_xy = _inner(xv, yv)
-    product = abs(i_xz * i_zy)
-    pair_mod = abs(i_xz * i_yz)
-    deviation = abs(i_xy * nz**2 - i_xz * i_zy)
-    radical = _clamped_sqrt(nx**2 * nz**2 - abs(i_xz) ** 2) * _clamped_sqrt(
-        ny**2 * nz**2 - abs(i_yz) ** 2
-    )
-    term2 = 0.5 * (pair_mod + abs(i_xy) * nz**2 + deviation)
-    term3 = 0.5 * (pair_mod + abs(i_xy) * nz**2 + radical)
-    term4 = 0.5 * nz**2 * (nx * ny + abs(i_xy))
-    return make_chain(
-        "lemma21",
-        [
-            ("inner_product_pair", product),
-            ("triangle_split", term2),
-            ("defect_radical_bound", term3),
-            ("buzano_bound", term4),
-        ],
-        tolerance,
-    )
+    return lemma21_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+
+
+def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
+    i_xz, i_zy, i_yz = _inner(x, z), _inner(z, y), _inner(y, z)
+    split = _abs(i_xz) * _abs(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
+    terms = [("inner_product_scaled", _abs(_inner(x, y)) * _sq(nz)), ("split_bound", split)]
+    return chain_batch("cs_refinement", terms + [("cauchy_schwarz", _sq(nz) * nx * ny)], tolerance)
 
 
 def cs_refinement_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Cauchy-Schwarz with an intermediate bound through a third vector."""
-    xv, yv, zv = _vectors(("x", x), ("y", y), ("z", z))
-    nx, ny, nz = (float(np.linalg.norm(v)) for v in (xv, yv, zv))
-    i_xy = _inner(xv, yv)
-    i_xz = _inner(xv, zv)
-    i_zy = _inner(zv, yv)
-    i_yz = _inner(yv, zv)
-    radical = _clamped_sqrt(nx**2 * nz**2 - abs(i_xz) ** 2) * _clamped_sqrt(
-        ny**2 * nz**2 - abs(i_yz) ** 2
-    )
-    return make_chain(
-        "cs_refinement",
-        [
-            ("inner_product_scaled", abs(i_xy) * nz**2),
-            ("split_bound", abs(i_xz) * abs(i_zy) + radical),
-            ("cauchy_schwarz", nz**2 * nx * ny),
-        ],
-        tolerance,
-    )
+    return cs_refinement_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+
+
+def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    require_orthogonal_projection(projection, name="P")
+    lhs = _abs(_inner(np.matmul(projection, x[:, :, None])[:, :, 0], y))
+    rhs = 0.5 * (_abs(_inner(x, y)) + row_norms(x) * row_norms(y))
+    return chain_batch("projection_buzano", [("projected_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 
 def projection_buzano(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Buzano-type bound for an orthogonal projection applied inside the
     inner product; the projection precondition is enforced."""
-    proj = require_orthogonal_projection(projection, name="P")
-    xv, yv = _vectors(("x", x), ("y", y))
-    require_operator_on(proj, xv, "P", "x")
-    nx, ny = float(np.linalg.norm(xv)), float(np.linalg.norm(yv))
-    lhs = abs(_inner(proj @ xv, yv))
-    rhs = 0.5 * (abs(_inner(xv, yv)) + nx * ny)
-    return make_chain(
-        "projection_buzano",
-        [("projected_inner_product", lhs), ("buzano_bound", rhs)],
-        tolerance,
-    )
+    proj = as_square_matrix(projection, "P")
+    xv, yv = _rows(("x", x), ("y", y))
+    require_operator_on(proj, xv[0], "P", "x")
+    return projection_buzano_batch(proj[None], xv, yv, tolerance).result()

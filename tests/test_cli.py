@@ -96,6 +96,17 @@ def test_run_rejects_flag_mix_and_bad_jobs(tmp_path):
     assert main(["run", "--suite", "buzano", "--jobs", "0"]) == 2
 
 
+def test_run_rejects_suite_flags_without_suite(tmp_path, capsys):
+    # Without --suite the default plan runs, so these flags would be ignored.
+    out = tmp_path / "r.json"
+    for flags in (["--seed", "5", "--dim", "3"], ["--dim", "3"], ["--trials", "4"], ["--seed", "5"]):
+        assert main(["run", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_config_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

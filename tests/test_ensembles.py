@@ -116,3 +116,15 @@ def test_draw_rejects_unknown_family():
         "unitary",
         "unit_vector",
     }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", (1, 2, 3, 16, 17, 64))
+def test_batched_draws_match_per_trial_draws(family, dim):
+    # One stream over a chunk of trial keys draws every trial at once; row t
+    # must equal the one-trial draw bit for bit.
+    cfg = EnsembleConfig(family=family, dim=dim, master_seed=dim * 1009 + 3, trials=6)
+    stacked = draw(family, trial_stream(cfg, np.arange(6)), dim)
+    assert stacked.shape[0] == 6
+    for t in range(6):
+        assert stacked[t].tobytes() == draw(family, trial_stream(cfg, t), dim).tobytes()

@@ -1,11 +1,12 @@
 """Suite runner: aggregation, config handling, determinism, check mode."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ineqlab import errors
+from ineqlab import errors, harness
 from ineqlab.chains import ToleranceConfig, make_chain
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.harness import (
@@ -25,6 +26,7 @@ from ineqlab.harness import (
     write_report,
 )
 from ineqlab.linalg import matrix_to_json_dict, vector_to_json_dict
+from ineqlab.prng import derive_key
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -117,6 +119,79 @@ def test_parallel_matches_serial():
     a.pop("runtime_ms")
     b.pop("runtime_ms")
     assert a == b
+
+
+BATCHED_SUITES = [name for name, spec in REGISTRY.items() if spec.batch is not None]
+
+
+def one_trial_slacks(name, ensemble):
+    """Min slack of every trial, each drawn and evaluated on its own."""
+    spec = REGISTRY[name]
+    return np.array([
+        spec.evaluate(trial_stream(ensemble, t), ensemble.dim, ToleranceConfig()).min_slack
+        for t in range(ensemble.trials)
+    ])
+
+
+@pytest.mark.parametrize("name", BATCHED_SUITES)
+def test_batched_suite_matches_one_trial_evaluation(name, monkeypatch):
+    spec = REGISTRY[name]
+    full = EnsembleConfig(family=spec.family, dim=3, master_seed=2024, trials=40)
+    slacks = one_trial_slacks(name, full)
+    for trials in (1, 7, 40):
+        report = run_suite(name, replace(full, trials=trials))
+        prefix = slacks[:trials]
+        assert report.min_slack == prefix.min()
+        assert report.mean_slack == prefix.mean()
+        assert report.violations == 0
+        assert [inst["trial"] for inst in report.tightest_instances] == list(np.argsort(prefix, kind="stable")[:5])
+        assert [inst["slack"] for inst in report.tightest_instances] == sorted(prefix)[:5]
+    # Neither the chunk size nor the thread count changes a number.
+    reference = run_suite(name, full).to_dict()
+    reference.pop("runtime_ms")
+    for chunk in (1, 7, 40):
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+        for jobs in (1, 3):
+            again = run_suite(name, full, jobs=jobs).to_dict()
+            again.pop("runtime_ms")
+            assert again == reference
+
+
+@pytest.mark.parametrize("name", BATCHED_SUITES)
+def test_batched_suite_raises_the_first_failing_trials_error(name, monkeypatch):
+    # Break two trials, the later one in an earlier input: the error must be
+    # the one that evaluating trial after trial meets first.
+    spec = REGISTRY[name]
+    ensemble = EnsembleConfig(family=spec.family, dim=3, master_seed=77, trials=20)
+    broken = {derive_key(77, 5): 1, derive_key(77, 11): 0}  # key -> input position
+
+    def corrupt(value, position):
+        if name == "projection_buzano" and position == 0:
+            return value + 0.5 * np.eye(value.shape[-1])  # P^2 != P
+        if name in ("krein_triangle", "lin_triangle_refined", "psi_infimum"):
+            return np.zeros_like(value)
+        return np.full_like(value, np.nan)
+
+    def breaking_draw(family, stream, dim):
+        drawn = draw(family, stream, dim)
+        position = getattr(stream, "position", 0)
+        stream.position = position + 1
+        rows = drawn if stream.batched else drawn[None]
+        for row, key in enumerate(np.atleast_1d(stream.keys)):
+            if broken.get(int(key)) == position:
+                rows[row] = corrupt(rows[row], position)
+        return drawn
+
+    monkeypatch.setattr(harness, "draw", breaking_draw)
+    with pytest.raises(errors.IneqLabError) as serial:
+        for t in range(ensemble.trials):
+            spec.evaluate(trial_stream(ensemble, t), ensemble.dim, ToleranceConfig())
+    for chunk in (4, 128):
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+        with pytest.raises(errors.IneqLabError) as batched:
+            run_suite(name, ensemble)
+        assert type(batched.value) is type(serial.value)
+        assert str(batched.value) == str(serial.value)
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,17 @@ def test_complex_gaussian_draw_order_is_pinned():
     expected = np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
     z = Stream(11).complex_gaussians(2)
     assert z[0] == expected
+
+
+def test_batched_stream_rows_match_one_key_streams():
+    # A stream over an array of keys gives, in row t, exactly the block of a
+    # stream holding key t alone, draw after draw.
+    keys = derive_key(2026, np.arange(9))
+    assert [int(k) for k in keys] == [derive_key(2026, t) for t in range(9)]
+    batched = Stream(keys)
+    blocks = [batched.raw(5), batched.uniforms(3), batched.complex_gaussians(4)]
+    for t, key in enumerate(keys):
+        alone = Stream(int(key))
+        for block, row in zip(blocks, [alone.raw(5), alone.uniforms(3), alone.complex_gaussians(4)]):
+            assert block.shape[0] == 9
+            assert block[t].tobytes() == row.tobytes()

@@ -92,6 +92,27 @@ def test_psi_infimum_random_band():
         assert -1e-12 <= gap <= np.pi / 3600 + 1e-9
 
 
+def literal_grid_min_phi(x, y, grid):
+    """The per-trial reference: phi(e^{i theta} x, y) on every grid phase as
+    complex vectors, each norm summed by numpy along the vector axis."""
+    u, w = (np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in (x, y))
+    rotated = np.exp(1j * 2.0 * np.pi * np.arange(grid) / grid)[:, None] * u[None, :]
+    minus, plus = np.linalg.norm(rotated - w, axis=1), np.linalg.norm(rotated + w, axis=1)
+    return float((2.0 * np.arctan2(minus, plus)).min())
+
+
+def test_psi_infimum_grid_matches_literal_reference():
+    # The batched grid sums each norm over the vector axis in another order,
+    # so the two may differ by rounding only: a few ulps of phi <= pi.
+    rng = np.random.default_rng(41)
+    tolerance = 8 * np.finfo(float).eps * np.pi
+    for _ in range(60):
+        n = int(rng.integers(1, 18))
+        x, y = random_vec(rng, n), random_vec(rng, n)
+        batched = psi_infimum_property(x, y, grid=3600).terms[1][1]
+        assert abs(batched - literal_grid_min_phi(x, y, 3600)) <= tolerance
+
+
 def test_psi_infimum_validates_grid():
     with pytest.raises(errors.InvalidInput):
         psi_infimum_property([1.0], [1.0], grid=4)

@@ -109,7 +109,10 @@ class ChainBatch:
         rows = [(r.values, r.slacks, r.passed, r.tolerance_used) for r in results]
         return cls(results[0].check_name, labels, *(np.array(column) for column in zip(*rows)))
 
-    def result(self, row: int = 0) -> ChainResult:
+    def result(self, row: int | None = None) -> ChainResult:
+        if row is None and len(self.values) != 1:  # a one-trial call given a stack
+            raise InvalidInput(f"{self.check_name}: expected one trial's inputs, got a stack of {len(self.values)}")
+        row = row or 0
         terms = list(zip(self.labels, self.values[row].tolist()))
         passed, floor = bool(self.passed[row]), float(self.tolerance_used[row])
         return ChainResult(self.check_name, terms, self.slacks[row].tolist(), passed, floor)

@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="master seed in [0, 2^64)")
     run_p.add_argument("--out", help="report path (default report.json, or the config's output)")
     run_p.add_argument("--csv", help="also write a flattened CSV to this path")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker threads for trials (default 1)")
+    run_p.add_argument("--jobs", type=int, default=1, help="worker threads over chunks of 128 trials (default 1)")
 
     check_p = sub.add_parser("check", help="evaluate one check on explicit JSON inputs")
     check_p.add_argument("name", help="check name (see 'ineqlab run --help' suite list)")

@@ -138,6 +138,7 @@ def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: 
 
 def _build_registry() -> dict[str, SuiteSpec]:
     v, xy = "unit_vector", ("unit_vector", "unit_vector")
+    psd_xy, pc_xy, ginibre_xy = ("psd", *xy), ("positive_contraction", *xy), ("ginibre", *xy)
     sandwich = ("positive_contraction", "ginibre", "ginibre")
 
     def vector(name, draws, chain, batch, kwargs=None) -> SuiteSpec:
@@ -151,21 +152,22 @@ def _build_registry() -> dict[str, SuiteSpec]:
         vector("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined, vec_ineq.lin_triangle_refined_batch),
         vector("psi_infimum", (v, v), vec_ineq.psi_infimum_property, vec_ineq.psi_infimum_batch, {"grid": PSI_GRID}),
         vector("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano, vec_ineq.projection_buzano_batch),
-        SuiteSpec("lemma_2A", ("psd", *xy), op_ineq.lemma_2A_chain),
-        SuiteSpec("theorem_gap", ("positive_contraction", *xy), op_ineq.theorem_gap_chain),
-        SuiteSpec("corollary33", ("positive_contraction", *xy), op_ineq.corollary33_chain),
-        SuiteSpec("corollary33_scaled", ("psd", *xy), op_ineq.corollary33_chain, {"scaled": True}),
-        SuiteSpec("corollary35", ("positive_contraction", *xy), op_ineq.corollary35_chain),
-        SuiteSpec("remark36_scaled", ("psd", *xy), op_ineq.remark36_scaled),
-        SuiteSpec("remark36_polar", ("ginibre", *xy), op_ineq.remark36_polar_chain),
+        SuiteSpec("lemma_2A", psd_xy, op_ineq.lemma_2A_chain, batch=op_ineq.lemma_2A_batch),
+        SuiteSpec("theorem_gap", pc_xy, op_ineq.theorem_gap_chain, batch=op_ineq.theorem_gap_batch),
+        SuiteSpec("corollary33", pc_xy, op_ineq.corollary33_chain, batch=op_ineq.corollary33_batch),
+        SuiteSpec("corollary33_scaled", psd_xy, op_ineq.corollary33_chain, {"scaled": True},
+                  batch=op_ineq.corollary33_batch),
+        SuiteSpec("corollary35", pc_xy, op_ineq.corollary35_chain, batch=op_ineq.corollary35_batch),
+        SuiteSpec("remark36_scaled", psd_xy, op_ineq.remark36_scaled, batch=op_ineq.remark36_scaled_batch),
+        SuiteSpec("remark36_polar", ginibre_xy, op_ineq.remark36_polar_chain, batch=op_ineq.remark36_polar_batch),
         SuiteSpec("corollary37", ("psd", "ginibre"), op_ineq.corollary37_chain, order=(1, 0), default_trials=200),
         SuiteSpec("corollary38_omega", sandwich, op_ineq.corollary38_omega_chain, default_trials=200),
-        SuiteSpec("corollary38_norm", sandwich, op_ineq.corollary38_norm_chain),
+        SuiteSpec("corollary38_norm", sandwich, op_ineq.corollary38_norm_chain, batch=op_ineq.corollary38_norm_batch),
         SuiteSpec("power_r1", sandwich, op_ineq.power_chain, {"power": 1.0}, default_trials=200),
         SuiteSpec("power_r2", sandwich, op_ineq.power_chain, {"power": 2.0}, default_trials=200),
         SuiteSpec("power_r3", sandwich, op_ineq.power_chain, {"power": 3.0}, default_trials=200),
-        SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_property, {"power": 1.0}),
-        SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_property, {"power": 2.0}),
+        SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_property, {"power": 1.0}, batch=op_ineq.bourin_batch),
+        SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_property, {"power": 2.0}, batch=op_ineq.bourin_batch),
         SuiteSpec("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_chain, default_trials=200),
         SuiteSpec(
             "omega_oracle",
@@ -177,7 +179,7 @@ def _build_registry() -> dict[str, SuiteSpec]:
         ),
         SuiteSpec(
             "remark36_counterexample",
-            ("ginibre", *xy),
+            ginibre_xy,
             op_ineq.remark36_scaled_unchecked,
             expect_violation=True,
             default_dim=2,

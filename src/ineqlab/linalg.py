@@ -20,6 +20,10 @@ contraction, a spectrum inside ``[low, high]``) is decided by one window
 test, :func:`require_window`: :func:`require_spectrum` applies it and
 returns the symmetrized matrix so callers compute on exactly what was
 checked, and :func:`psd_power` applies it to the eigenvalues it factors.
+
+Checks and decompositions take one matrix (a batch of one) or a ``(trials,
+d, d)`` stack, exact per trial: each row is tested and rounded as on its own,
+and a failing stack raises its first failing trial's own error.
 """
 
 from __future__ import annotations
@@ -86,24 +90,38 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def per_trial(coerce, value, name: str) -> np.ndarray:
+    """A stack over a leading trial axis, each trial checked by ``coerce``; the first failing one raises."""
+    stack = np.asarray(value, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1))
+    coerce(stack[bad[0] if bad.size else 0], name)
+    return stack
+
+
+def as_matrices(value, name: str = "matrix", coerce=as_square_matrix) -> np.ndarray:
+    """``coerce`` (square by default) of one matrix, or of each of a (trials, m, n) stack."""
+    stacked = isinstance(value, np.ndarray) and value.ndim == 3
+    return per_trial(coerce, value, name) if stacked else coerce(value, name)
+
+
 def require_same_length(*pairs) -> None:
-    """Check that the named vectors, or square matrices, share one dimension.
+    """Check that the named vectors or square matrices (or stacks of them) share their last dimension.
 
     Accepts ``(name, array)`` tuples so error messages can point at the
     offending argument.
     """
     base_name, base = pairs[0]
     for name, arr in pairs[1:]:
-        if arr.shape[0] != base.shape[0]:
+        if arr.shape[-1] != base.shape[-1]:
             raise DimensionMismatch(
-                f"{name} has dimension {arr.shape[0]} but {base_name} has dimension {base.shape[0]}"
+                f"{name} has dimension {arr.shape[-1]} but {base_name} has dimension {base.shape[-1]}"
             )
 
 
 def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vname: str) -> None:
-    if matrix.shape[1] != vector.shape[0]:
+    if matrix.shape[-1] != vector.shape[-1]:
         raise DimensionMismatch(
-            f"{mname} has shape {matrix.shape} and cannot act on {vname} of length {vector.shape[0]}"
+            f"{mname} has shape {matrix.shape[-2:]} and cannot act on {vname} of length {vector.shape[-1]}"
         )
 
 
@@ -111,15 +129,26 @@ def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vnam
 # Hermitian checks
 
 
-def hermitian_deviation(matrix: np.ndarray) -> float:
-    """Largest entry of |M - M*|."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    return matrix.conj().swapaxes(-1, -2)
+
+
+def hermitian_deviation(matrix: np.ndarray):
+    """Largest entry of |M - M*|, per trial for a stack."""
+    return np.abs(matrix - _adjoint(matrix)).max(axis=(-2, -1))
+
+
+def _first_failing(failed, *values) -> list | None:
+    """``values`` at the first trial flagged in ``failed`` (0-d: one trial), or None."""
+    if not failed.any():
+        return None
+    return [np.ravel(np.broadcast_to(v, np.shape(failed)))[np.argmax(failed)] for v in values]
 
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> None:
     dev = hermitian_deviation(matrix)
-    if dev > HERMITIAN_TOL:
-        raise NotHermitian(f"{name}: max|M - M*| = {dev:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
+    if first := _first_failing(dev > HERMITIAN_TOL, dev):
+        raise NotHermitian(f"{name}: max|M - M*| = {first[0]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +173,9 @@ class PolarDecomposition:
 
 def _symmetrized(matrix, name: str) -> np.ndarray:
     """(M + M*)/2 of a square M with max|M - M*| <= HERMITIAN_TOL."""
-    mat = as_square_matrix(matrix, name)
+    mat = as_matrices(matrix, name)
     require_hermitian(mat, name)
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + _adjoint(mat))
 
 
 def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
@@ -157,19 +186,23 @@ def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
     leak into the result.
     """
     values, vectors = np.linalg.eigh(_symmetrized(matrix, name))
-    order = np.argsort(values)[::-1]
-    return EigenDecomposition(values[order].astype(np.float64), vectors[:, order])
+    order = np.argsort(values, axis=-1)[..., ::-1]
+    if values.ndim == 1:  # one matrix: plain indexing costs a fraction of take_along_axis
+        return EigenDecomposition(values[order], vectors[:, order])
+    values, vectors = np.take_along_axis(values, order, -1), np.take_along_axis(vectors, order[..., None, :], -1)
+    return EigenDecomposition(values, vectors)
 
 
-def operator_norm(matrix) -> float:
-    """Largest singular value."""
-    mat = as_matrix(matrix)
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+def operator_norm(matrix):
+    """Largest singular value: a float, or one per trial of a stack."""
+    mat = as_matrices(matrix, coerce=as_matrix)
+    top = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    return float(top) if mat.ndim == 2 else top
 
 
-def psd_clamp(eigenvalues: np.ndarray) -> float:
-    """Rounding allowance below zero for a PSD spectrum: 1e-9 * (1 + max|lambda|)."""
-    return PSD_CLAMP_REL * (1.0 + float(np.max(np.abs(eigenvalues))))
+def psd_clamp(eigenvalues: np.ndarray):
+    """Rounding allowance below zero for a PSD spectrum (per row): 1e-9 * (1 + max|lambda|)."""
+    return PSD_CLAMP_REL * (1.0 + np.abs(eigenvalues).max(axis=-1))
 
 
 def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
@@ -181,8 +214,8 @@ def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
     eig = hermitian_eigen(matrix, name)
     require_window(eig.eigenvalues, 0.0, np.inf, name, error=NotPositiveSemidefinite)
     powered = np.clip(eig.eigenvalues, 0.0, None) ** exponent
-    result = (eig.eigenvectors * powered) @ eig.eigenvectors.conj().T
-    return 0.5 * (result + result.conj().T)
+    result = (eig.eigenvectors * powered[..., None, :]) @ _adjoint(eig.eigenvectors)
+    return 0.5 * (result + _adjoint(result))
 
 
 def psd_sqrt(matrix, name: str = "matrix") -> np.ndarray:
@@ -198,10 +231,9 @@ def polar_decompose(matrix) -> PolarDecomposition:
     even when M is singular; in that case U is a unitary completion rather
     than anything canonical.
     """
-    left, values, right_h = np.linalg.svd(as_square_matrix(matrix))
-    right = right_h.conj().T
-    mod = (right * values) @ right_h
-    return PolarDecomposition(left @ right_h, 0.5 * (mod + mod.conj().T))
+    left, values, right_h = np.linalg.svd(as_matrices(matrix))
+    mod = (_adjoint(right_h) * values[..., None, :]) @ right_h
+    return PolarDecomposition(left @ right_h, 0.5 * (mod + _adjoint(mod)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +260,16 @@ def require_window(
     """Raise ``error`` unless the spectrum lies inside [low - slack, high + slack].
 
     ``slack`` defaults to :func:`psd_clamp` of the spectrum; the eigenvalues
-    may come in either order.
+    may come in either order.  A (trials, d) block is tested per row and
+    raises for its first failing row.
     """
     if slack is None:
         slack = psd_clamp(eigenvalues)
-    bottom, top = float(eigenvalues.min()), float(eigenvalues.max())
-    if bottom < low - slack or top > high + slack:
+    bottom, top = eigenvalues.min(axis=-1), eigenvalues.max(axis=-1)
+    if first := _first_failing((bottom < low - slack) | (top > high + slack), bottom, top, slack):
         raise error(
-            f"{name}: spectrum [{bottom:.6e}, {top:.6e}] lies outside "
-            f"[{low}, {high}] beyond tolerance {slack:.3e}"
+            f"{name}: spectrum [{first[0]:.6e}, {first[1]:.6e}] lies outside "
+            f"[{low}, {high}] beyond tolerance {first[2]:.3e}"
         )
 
 
@@ -263,18 +296,29 @@ def require_positive_semidefinite(matrix, name: str = "matrix") -> np.ndarray:
 def require_orthogonal_projection(matrix, name: str = "matrix") -> np.ndarray:
     """Validate P = P* = P^2 to HERMITIAN_TOL entrywise; a (trials, d, d)
     stack is checked per trial and raises for its first failing trial."""
-    mat = np.asarray(matrix) if np.ndim(matrix) == 3 else as_square_matrix(matrix, name)
-    stack = mat.reshape(-1, *mat.shape[-2:])
-    herm = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
-    idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
-    failed = np.flatnonzero((herm > HERMITIAN_TOL) | (idem > HERMITIAN_TOL))
-    if failed.size and herm[failed[0]] > HERMITIAN_TOL:
+    mat = as_matrices(matrix, name)
+    herm = hermitian_deviation(mat)
+    idem = np.abs(mat @ mat - mat).max(axis=(-2, -1))
+    first = _first_failing((herm > HERMITIAN_TOL) | (idem > HERMITIAN_TOL), herm, idem)
+    if first and first[0] > HERMITIAN_TOL:
         raise NotOrthogonalProjection(f"{name}: not Hermitian to tolerance {HERMITIAN_TOL:.3e}")
-    if failed.size:
-        raise NotOrthogonalProjection(
-            f"{name}: max|P^2 - P| = {idem[failed[0]]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
-        )
+    if first:
+        raise NotOrthogonalProjection(f"{name}: max|P^2 - P| = {first[1]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
     return mat
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> per row, linear in the first slot: np.vdot(y, x) of each row."""
+    return np.vecdot(y, x)
+
+
+def matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """M v per trial, each row rounded as the one-matrix ``M @ v``."""
+    return (matrix @ vector[..., None])[..., 0]
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)  # rounds as Python's abs(complex)
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

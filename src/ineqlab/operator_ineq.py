@@ -2,24 +2,33 @@
 numerical-radius product bounds, spectral power bounds, and the closing
 refinement of omega(T) <= ||T||.
 
-Precondition enforcement is strict: every checker validates the operator
-hypotheses it relies on and raises a typed error when they fail.  The one
-deliberate exception is :func:`remark36_scaled_unchecked`, which evaluates
-the scaled bound without the positivity hypothesis so that the known
-counterexample can be reproduced and recorded as a genuine violation.
+Each chain without a numerical radius is one kernel, ``<chain>_batch``, over
+a leading trial axis; its public chain is that kernel on one trial's inputs.
+Every checker validates the hypotheses it relies on and raises a typed error
+when they fail; a stack raises the error of its first failing trial.  The one
+deliberate exception, :func:`remark36_scaled_unchecked`, skips the positivity
+hypothesis so that the known counterexample can be reproduced as a genuine
+violation.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .chains import ChainResult, ToleranceConfig, make_chain
+from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, make_chain
 from .errors import InvalidInput, ZeroOperator
 from .linalg import (
     HERMITIAN_TOL,
+    as_matrices,
     as_square_matrix,
     as_vector,
+    inner,
+    matvec,
+    modulus,
     operator_norm,
+    per_trial,
     polar_decompose,
     psd_power,
     psd_sqrt,
@@ -27,6 +36,7 @@ from .linalg import (
     require_positive_semidefinite,
     require_same_length,
     require_spectrum,
+    row_norms,
 )
 from .radius import numerical_radius
 
@@ -48,27 +58,33 @@ def _require_positive_contraction(matrix, name: str = "A") -> np.ndarray:
 
 
 def _require_nonzero(matrix: np.ndarray, name: str = "A") -> np.ndarray:
-    if not matrix.any():
+    if not matrix.any(axis=(-2, -1)).all():
         raise ZeroOperator(f"{name}: the zero operator is excluded here")
     return matrix
 
 
 def _vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
+    """x and y of one trial, or (trials, d) rows of them beside a stack of operators."""
+    coerce = as_vector if operator.ndim == 2 else partial(per_trial, as_vector)
+    xv, yv = coerce(x, "x"), coerce(y, "y")
     require_same_length(("x", xv), ("y", yv))
     require_operator_on(operator, xv, opname, "x")
     return xv, yv
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> complex:
-    return complex(np.vdot(y, x))
-
-
-def _quad_form(matrix: np.ndarray, vector: np.ndarray) -> float:
+def _quad_form(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Re<Mv, v>, clamped at zero; used only where M is PSD up to rounding."""
-    value = float(np.real(np.vdot(vector, matrix @ vector)))
-    return max(value, 0.0)
+    value = inner(matvec(matrix, vector), vector).real
+    return np.where(value < 0.0, 0.0, value)  # Python's max(value, 0.0): keeps -0.0 and NaN
+
+
+def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    sym = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
+    xv, yv = _vector_pair(x, y, sym, "A")
+    gap = 2.0 * sym - sym @ sym
+    lhs = modulus(inner(xv - matvec(sym, xv), yv - matvec(sym, yv)))
+    rhs = row_norms(xv) * row_norms(yv) - np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv))
+    return chain_batch("lemma_2A", [("deflated_inner_product", lhs), ("norm_minus_radical", rhs)], tolerance)
 
 
 def lemma_2A_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -76,92 +92,72 @@ def lemma_2A_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainRe
 
     |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
     """
-    sym = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
+    return lemma_2A_batch(A, x, y, tolerance).result()
+
+
+def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    sym = _require_positive_contraction(A, "A")
     xv, yv = _vector_pair(x, y, sym, "A")
-    residual = sym @ sym
-    gap = 2.0 * sym - residual
-    lhs = abs(_inner(xv - sym @ xv, yv - sym @ yv))
-    radical = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv))
-    rhs = float(np.linalg.norm(xv)) * float(np.linalg.norm(yv)) - radical
-    return make_chain(
-        "lemma_2A",
-        [("deflated_inner_product", lhs), ("norm_minus_radical", rhs)],
-        tolerance,
-    )
+    gap = sym - sym @ sym
+    middle = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv)) - modulus(inner(matvec(gap, xv), yv))
+    cap = (row_norms(xv) * row_norms(yv) - modulus(inner(xv, yv))) / 4.0
+    terms = [("zero", np.zeros(np.shape(middle))), ("gap_defect", middle), ("quarter_cs_defect", cap)]
+    return chain_batch("theorem_gap", terms, tolerance)
 
 
 def theorem_gap_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
     A - A^2 is at most a quarter of the defect of the identity."""
-    sym = _require_positive_contraction(A, "A")
+    return theorem_gap_batch(A, x, y, tolerance).result()
+
+
+def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    sym = _require_nonzero(require_positive_semidefinite(A, "A")) if scaled else _require_positive_contraction(A, "A")
+    denom = operator_norm(sym) if scaled else 1.0
     xv, yv = _vector_pair(x, y, sym, "A")
-    gap = sym - sym @ sym
-    radical = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv))
-    middle = radical - abs(_inner(gap @ xv, yv))
-    cap = (float(np.linalg.norm(xv)) * float(np.linalg.norm(yv)) - abs(_inner(xv, yv))) / 4.0
-    return make_chain(
-        "theorem_gap",
-        [("zero", 0.0), ("gap_defect", middle), ("quarter_cs_defect", cap)],
-        tolerance,
-    )
+    radical = np.sqrt(_quad_form(sym, xv) * _quad_form(sym, yv))
+    lhs = modulus(inner(xv, yv)) + (radical - modulus(inner(matvec(sym, xv), yv))) / denom
+    terms = [("refined_inner_product", lhs), ("norm_product", row_norms(xv) * row_norms(yv))]
+    return chain_batch("corollary33_scaled" if scaled else "corollary33", terms, tolerance)
 
 
-def corollary33_chain(
-    A, x, y, scaled: bool = False, tolerance: ToleranceConfig | None = None
-) -> ChainResult:
+def corollary33_chain(A, x, y, scaled: bool = False, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Additive Cauchy-Schwarz refinement through a positive operator.
 
     Unscaled form requires a positive contraction; the scaled form accepts
     any nonzero PSD operator and divides its contribution by ||A||.
     """
-    if scaled:
-        sym = _require_nonzero(require_positive_semidefinite(A, "A"))
-        denom = operator_norm(sym)
-        name = "corollary33_scaled"
-    else:
-        sym = _require_positive_contraction(A, "A")
-        denom = 1.0
-        name = "corollary33"
+    return corollary33_batch(A, x, y, scaled, tolerance).result()
+
+
+def corollary35_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    sym = _require_positive_contraction(A, "A")
     xv, yv = _vector_pair(x, y, sym, "A")
-    radical = np.sqrt(_quad_form(sym, xv) * _quad_form(sym, yv))
-    group = (radical - abs(_inner(sym @ xv, yv))) / denom
-    lhs = abs(_inner(xv, yv)) + group
-    rhs = float(np.linalg.norm(xv)) * float(np.linalg.norm(yv))
-    return make_chain(
-        name,
-        [("refined_inner_product", lhs), ("norm_product", rhs)],
-        tolerance,
-    )
+    lhs = modulus(inner(matvec(sym, xv), yv))
+    rhs = 0.5 * (row_norms(xv) * row_norms(yv) + modulus(inner(xv, yv)))
+    return chain_batch("corollary35", [("sandwiched_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 
 def corollary35_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Buzano-type bound for a positive contraction in the middle slot."""
-    sym = _require_positive_contraction(A, "A")
-    xv, yv = _vector_pair(x, y, sym, "A")
-    lhs = abs(_inner(sym @ xv, yv))
-    rhs = 0.5 * (
-        float(np.linalg.norm(xv)) * float(np.linalg.norm(yv)) + abs(_inner(xv, yv))
-    )
-    return make_chain(
-        "corollary35",
-        [("sandwiched_inner_product", lhs), ("buzano_bound", rhs)],
-        tolerance,
-    )
+    return corollary35_batch(A, x, y, tolerance).result()
 
 
-def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tuple[str, float]]:
-    lhs = abs(_inner(sym @ xv, yv))
-    rhs = 0.5 * operator_norm(sym) * (
-        abs(_inner(xv, yv)) + float(np.linalg.norm(xv)) * float(np.linalg.norm(yv))
-    )
+def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    lhs = modulus(inner(matvec(sym, xv), yv))
+    rhs = 0.5 * operator_norm(sym) * (modulus(inner(xv, yv)) + row_norms(xv) * row_norms(yv))
     return [("operator_inner_product", lhs), ("scaled_buzano_bound", rhs)]
+
+
+def remark36_scaled_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    sym = _require_nonzero(require_positive_semidefinite(A, "A"))
+    xv, yv = _vector_pair(x, y, sym, "A")
+    return chain_batch("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
 
 
 def remark36_scaled(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
-    sym = _require_nonzero(require_positive_semidefinite(A, "A"))
-    xv, yv = _vector_pair(x, y, sym, "A")
-    return make_chain("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
+    return remark36_scaled_batch(A, x, y, tolerance).result()
 
 
 def remark36_scaled_unchecked(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -175,29 +171,29 @@ def remark36_scaled_unchecked(A, x, y, tolerance: ToleranceConfig | None = None)
     return make_chain("remark36_counterexample", _remark36_terms(mat, xv, yv), tolerance)
 
 
+def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    mat = _require_nonzero(as_matrices(A, "A"))
+    xv, yv = _vector_pair(x, y, mat, "A")
+    polar = polar_decompose(mat)
+    half_norm = 0.5 * operator_norm(mat)
+    nx = row_norms(xv)
+    u_on_x = modulus(inner(matvec(polar.unitary, xv), yv))
+    rotated = row_norms(matvec(polar.unitary.conj().swapaxes(-1, -2), yv))
+    terms = [
+        ("operator_inner_product", modulus(inner(matvec(mat, xv), yv))),
+        ("polar_split_bound", half_norm * (u_on_x + nx * rotated)),
+        ("scaled_buzano_bound", half_norm * (u_on_x + nx * row_norms(yv))),
+    ]
+    return chain_batch("remark36_polar", terms, tolerance)
+
+
 def remark36_polar_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Polar-decomposition route to the scaled bound for arbitrary nonzero A.
 
     With A = U |A| the first inequality applies the PSD bound to |A| against
     the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
     """
-    mat = _require_nonzero(as_square_matrix(A, "A"))
-    xv, yv = _vector_pair(x, y, mat, "A")
-    polar = polar_decompose(mat)
-    half_norm = 0.5 * operator_norm(mat)
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    u_on_x = abs(_inner(polar.unitary @ xv, yv))
-    rotated = float(np.linalg.norm(polar.unitary.conj().T @ yv))
-    return make_chain(
-        "remark36_polar",
-        [
-            ("operator_inner_product", abs(_inner(mat @ xv, yv))),
-            ("polar_split_bound", half_norm * (u_on_x + nx * rotated)),
-            ("scaled_buzano_bound", half_norm * (u_on_x + nx * ny)),
-        ],
-        tolerance,
-    )
+    return remark36_polar_batch(A, x, y, tolerance).result()
 
 
 def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -225,8 +221,8 @@ def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainRe
 
 def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sym_a = _require_positive_contraction(A, "A")
-    mat_s = as_square_matrix(S, "S")
-    mat_t = as_square_matrix(T, "T")
+    mat_s = as_matrices(S, "S")
+    mat_t = as_matrices(T, "T")
     require_same_length(("A", sym_a), ("S", mat_s), ("T", mat_t))
     return sym_a, mat_s, mat_t
 
@@ -250,16 +246,16 @@ def corollary38_omega_chain(A, S, T, tolerance: ToleranceConfig | None = None) -
     )
 
 
-def corollary38_norm_chain(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Operator-norm companion bound: ||S A T|| <= (||T|| ||S|| + ||S T||)/2."""
+def corollary38_norm_batch(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     lhs = operator_norm(mat_s @ sym_a @ mat_t)
     rhs = 0.5 * (operator_norm(mat_t) * operator_norm(mat_s) + operator_norm(mat_s @ mat_t))
-    return make_chain(
-        "corollary38_norm",
-        [("norm_sandwich", lhs), ("norm_split_bound", rhs)],
-        tolerance,
-    )
+    return chain_batch("corollary38_norm", [("norm_sandwich", lhs), ("norm_split_bound", rhs)], tolerance)
+
+
+def corollary38_norm_chain(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainResult:
+    """Operator-norm companion bound: ||S A T|| <= (||T|| ||S|| + ||S T||)/2."""
+    return corollary38_norm_batch(A, S, T, tolerance).result()
 
 
 def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
@@ -285,22 +281,22 @@ def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     )
 
 
-def bourin_property(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Norm convexity transfer for PSD pairs: the r-th power of the average
-    is dominated in norm by the average of the r-th powers."""
+def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     r = _as_power(power)
-    mat_m = as_square_matrix(M, "M")
+    mat_m = as_matrices(M, "M")
     power_m = psd_power(mat_m, r, "M")
-    mat_n = as_square_matrix(N, "N")
+    mat_n = as_matrices(N, "N")
     power_n = psd_power(mat_n, r, "N")
     require_same_length(("M", mat_m), ("N", mat_n))
     lhs = operator_norm(psd_power(0.5 * (mat_m + mat_n), r, "(M+N)/2"))
     rhs = 0.5 * operator_norm(power_m + power_n)
-    return make_chain(
-        f"bourin_r{_power_tag(r)}",
-        [("power_of_average", lhs), ("average_of_powers", rhs)],
-        tolerance,
-    )
+    return chain_batch(f"bourin_r{_power_tag(r)}", [("power_of_average", lhs), ("average_of_powers", rhs)], tolerance)
+
+
+def bourin_property(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
+    """Norm convexity transfer for PSD pairs: the r-th power of the average
+    is dominated in norm by the average of the r-th powers."""
+    return bourin_batch(M, N, power, tolerance).result()
 
 
 def contraction_builder(A) -> np.ndarray:

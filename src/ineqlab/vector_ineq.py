@@ -21,6 +21,9 @@ from .errors import InvalidInput
 from .linalg import (
     as_square_matrix,
     as_vector,
+    inner,
+    matvec,
+    modulus,
     require_nonzero_vector,
     require_operator_on,
     require_orthogonal_projection,
@@ -49,14 +52,6 @@ def _units(*pairs) -> list[np.ndarray]:
     return [vec / n[:, None] for (_, vec), n in zip(pairs, norms)]
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.vecdot(y, x)  # linear in the first slot, one value per row
-
-
-def _abs(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)  # rounds as Python's abs(complex)
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex product rounded as Python's (numpy's own loop may fuse)."""
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
@@ -79,8 +74,8 @@ def _unit_angle(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _psi_of_units(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Phase-minimized angle: rotate u so the inner product is real
     nonnegative, then measure the plain angle."""
-    ip = _inner(u, w)
-    mag = _abs(ip)
+    ip = inner(u, w)
+    mag = modulus(ip)
     safe = np.where(mag > 0.0, mag, 1.0)
     phase = np.where(mag > 0.0, ip.real, 1.0) / safe + 1j * (ip.imag / safe)
     return _unit_angle(u * np.conj(phase)[:, None], w)
@@ -97,7 +92,7 @@ def angles(x, y) -> AngleResult:
     """
     xv, yv = _rows(("x", x), ("y", y))
     u, w = _units(("x", xv), ("y", yv))
-    ip = complex(_inner(u, w)[0])
+    ip = complex(inner(u, w)[0])
     return AngleResult(
         cos_psi=min(1.0, abs(ip)),
         psi=float(_psi_of_units(u, w)[0]),
@@ -195,8 +190,8 @@ def lin_triangle_refined(x, y, z, tolerance: ToleranceConfig | None = None) -> C
 
 def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
-    pair = _abs(_inner(x, z)) * _abs(_inner(y, z))
-    bound = 0.5 * _sq(nz) * (_abs(_inner(x, y)) + nx * ny)
+    pair = modulus(inner(x, z)) * modulus(inner(y, z))
+    bound = 0.5 * _sq(nz) * (modulus(inner(x, y)) + nx * ny)
     terms = [("inner_product_pair", pair), ("buzano_bound", bound), ("cauchy_schwarz_twice", _sq(nz) * nx * ny)]
     return chain_batch("buzano", terms, tolerance)
 
@@ -209,19 +204,19 @@ def buzano_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResu
 def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
     """Product of the Cauchy-Schwarz defect radicals of (x, z) and (y, z),
     each radicand clamped at zero against rounding dips."""
-    x_side = np.maximum(_sq(nx) * _sq(nz) - _sq(_abs(i_xz)), 0.0)
-    return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(_abs(i_yz)), 0.0))
+    x_side = np.maximum(_sq(nx) * _sq(nz) - _sq(modulus(i_xz)), 0.0)
+    return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(modulus(i_yz)), 0.0))
 
 
 def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
-    i_xz, i_zy, i_yz, i_xy = _inner(x, z), _inner(z, y), _inner(y, z), _inner(x, y)
-    pair_mod = _abs(_mul(i_xz, i_yz))
-    deviation = _abs(i_xy * _sq(nz) - _mul(i_xz, i_zy))
-    base = pair_mod + _abs(i_xy) * _sq(nz)
+    i_xz, i_zy, i_yz, i_xy = inner(x, z), inner(z, y), inner(y, z), inner(x, y)
+    pair_mod = modulus(_mul(i_xz, i_yz))
+    deviation = modulus(i_xy * _sq(nz) - _mul(i_xz, i_zy))
+    base = pair_mod + modulus(i_xy) * _sq(nz)
     radical = 0.5 * (base + _defect_radical(nx, ny, nz, i_xz, i_yz))
-    terms = [("inner_product_pair", _abs(_mul(i_xz, i_zy))), ("triangle_split", 0.5 * (base + deviation))]
-    terms += [("defect_radical_bound", radical), ("buzano_bound", 0.5 * _sq(nz) * (nx * ny + _abs(i_xy)))]
+    terms = [("inner_product_pair", modulus(_mul(i_xz, i_zy))), ("triangle_split", 0.5 * (base + deviation))]
+    terms += [("defect_radical_bound", radical), ("buzano_bound", 0.5 * _sq(nz) * (nx * ny + modulus(i_xy)))]
     return chain_batch("lemma21", terms, tolerance)
 
 
@@ -237,9 +232,9 @@ def lemma21_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainRes
 
 def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
-    i_xz, i_zy, i_yz = _inner(x, z), _inner(z, y), _inner(y, z)
-    split = _abs(i_xz) * _abs(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
-    terms = [("inner_product_scaled", _abs(_inner(x, y)) * _sq(nz)), ("split_bound", split)]
+    i_xz, i_zy, i_yz = inner(x, z), inner(z, y), inner(y, z)
+    split = modulus(i_xz) * modulus(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
+    terms = [("inner_product_scaled", modulus(inner(x, y)) * _sq(nz)), ("split_bound", split)]
     return chain_batch("cs_refinement", terms + [("cauchy_schwarz", _sq(nz) * nx * ny)], tolerance)
 
 
@@ -250,8 +245,8 @@ def cs_refinement_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> Ch
 
 def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     require_orthogonal_projection(projection, name="P")
-    lhs = _abs(_inner(np.matmul(projection, x[:, :, None])[:, :, 0], y))
-    rhs = 0.5 * (_abs(_inner(x, y)) + row_norms(x) * row_norms(y))
+    lhs = modulus(inner(matvec(projection, x), y))
+    rhs = 0.5 * (modulus(inner(x, y)) + row_norms(x) * row_norms(y))
     return chain_batch("projection_buzano", [("projected_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 

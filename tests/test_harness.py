@@ -168,6 +168,10 @@ def test_batched_suite_raises_the_first_failing_trials_error(name, monkeypatch):
     def corrupt(value, position):
         if name == "projection_buzano" and position == 0:
             return value + 0.5 * np.eye(value.shape[-1])  # P^2 != P
+        if spec.draws[position] in ("psd", "positive_contraction"):
+            return value - 2.0 * np.eye(value.shape[-1])  # spectrum below the window
+        if name == "remark36_polar" and position == 0:
+            return np.zeros_like(value)  # the zero operator
         if name in ("krein_triangle", "lin_triangle_refined", "psi_infimum"):
             return np.zeros_like(value)
         return np.full_like(value, np.nan)

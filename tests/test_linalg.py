@@ -7,6 +7,7 @@ import pytest
 
 from ineqlab import errors
 from ineqlab.linalg import (
+    as_matrices,
     as_matrix,
     as_vector,
     hermitian_eigen,
@@ -19,8 +20,11 @@ from ineqlab.linalg import (
     polar_decompose,
     psd_power,
     psd_sqrt,
+    require_hermitian,
     require_orthogonal_projection,
     require_positive_semidefinite,
+    require_spectrum,
+    require_window,
     vector_from_json_dict,
     vector_to_json_dict,
 )
@@ -258,6 +262,74 @@ def test_polar_of_singular_matrix_still_unitary():
     pol = polar_decompose(m)
     assert np.max(np.abs(pol.unitary.conj().T @ pol.unitary - np.eye(2))) < 1e-14
     assert np.max(np.abs(pol.unitary @ pol.modulus - m)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# stacks: one call over a (trials, d, d) stack, exact per trial
+
+
+def psd_stack(rng, trials, n):
+    g = random_complex(rng, trials, n, n)
+    stack = g @ g.conj().swapaxes(-1, -2)
+    stack[0] = np.eye(n)  # a degenerate spectrum keeps its eigenvector order too
+    return stack
+
+
+STACK_HELPERS = {
+    "require_spectrum": lambda m: (require_spectrum(m, 0.0, np.inf, "M"),),
+    "require_positive_semidefinite": lambda m: (require_positive_semidefinite(m, "M"),),
+    "hermitian_eigen": lambda m: tuple(vars(hermitian_eigen(m, "M")).values()),
+    "psd_power": lambda m: (psd_power(m, 3.0, "M"),),
+    "psd_sqrt": lambda m: (psd_sqrt(m, "M"),),
+    "operator_norm": lambda m: (operator_norm(m),),
+    "polar_decompose": lambda m: tuple(vars(polar_decompose(m)).values()),
+    "as_matrices": lambda m: (as_matrices(m),),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(STACK_HELPERS))
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_stack_helpers_match_per_matrix_calls_bit_for_bit(helper, n):
+    stack = psd_stack(np.random.default_rng(n), 6, n)
+    fn = STACK_HELPERS[helper]
+    stacked = fn(stack)
+    for t, matrix in enumerate(stack):
+        for many, one in zip(stacked, fn(matrix)):
+            assert many[t].tobytes() == np.asarray(one).tobytes()
+
+
+def first_error(fn, matrix):
+    with pytest.raises(errors.IneqLabError) as raised:
+        fn(matrix)
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "check, fault",
+    [
+        (lambda m: require_hermitian(m, "M"), lambda m, k: m + k * 1e-6j * np.eye(3)),
+        (lambda m: require_positive_semidefinite(m, "M"), lambda m, k: m - k * 40.0 * np.eye(3)),
+        (lambda m: require_spectrum(m, 0.0, 1.0, "M", slack=1e-10), lambda m, k: m + k * np.eye(3)),
+        (lambda m: psd_power(m, 2.0, "M"), lambda m, k: m - k * 40.0 * np.eye(3)),
+        (lambda m: require_window(np.linalg.eigvalsh(m), 0.0, 1.0, "M"), lambda m, k: m + k * np.eye(3)),
+        (lambda m: require_orthogonal_projection(m, "P"), lambda m, k: m + k * 0.1 * np.eye(3)),
+    ],
+)
+def test_stack_with_two_bad_rows_names_the_first(check, fault):
+    stack = psd_stack(np.random.default_rng(9), 5, 3)
+    stack[2:] = stack[2:] / np.linalg.eigvalsh(stack[2:])[:, -1:, None]  # spectra inside [0, 1]
+    stack[0] = np.diag([1.0, 0.0, 0.0])  # a projection
+    stack[1], stack[3] = fault(stack[0], 1.0), fault(stack[3], 2.0)
+    error = first_error(check, stack)
+    assert error == first_error(check, stack[1])
+    assert error != first_error(check, stack[3])
+
+
+def test_non_finite_stack_row_raises_as_that_matrix_alone():
+    stack = psd_stack(np.random.default_rng(10), 4, 3)
+    stack[2, 0, 1] = np.nan
+    for check in (as_matrices, operator_norm, require_positive_semidefinite):
+        assert first_error(check, stack) == first_error(check, stack[2])
 
 
 # ---------------------------------------------------------------------------

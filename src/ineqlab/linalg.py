@@ -105,7 +105,7 @@ def as_matrices(value, name: str = "matrix", coerce=as_square_matrix) -> np.ndar
 
 
 def require_same_length(*pairs) -> None:
-    """Check that the named vectors or square matrices (or stacks of them) share their last dimension.
+    """Check that the named vectors or square matrices (or stacks of them) share last dimension and trials.
 
     Accepts ``(name, array)`` tuples so error messages can point at the
     offending argument.
@@ -116,6 +116,8 @@ def require_same_length(*pairs) -> None:
             raise DimensionMismatch(
                 f"{name} has dimension {arr.shape[-1]} but {base_name} has dimension {base.shape[-1]}"
             )
+        if arr.shape[:-1] != base.shape[:-1]:
+            raise DimensionMismatch(f"{name} has shape {arr.shape} but {base_name} has shape {base.shape}")
 
 
 def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vname: str) -> None:
@@ -123,6 +125,8 @@ def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vnam
         raise DimensionMismatch(
             f"{mname} has shape {matrix.shape[-2:]} and cannot act on {vname} of length {vector.shape[-1]}"
         )
+    if matrix.shape[:-2] != vector.shape[:-1]:
+        raise DimensionMismatch(f"{mname} has shape {matrix.shape} but {vname} has shape {vector.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +190,8 @@ def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
     leak into the result.
     """
     values, vectors = np.linalg.eigh(_symmetrized(matrix, name))
-    order = np.argsort(values, axis=-1)[..., ::-1]
-    if values.ndim == 1:  # one matrix: plain indexing costs a fraction of take_along_axis
-        return EigenDecomposition(values[order], vectors[:, order])
-    values, vectors = np.take_along_axis(values, order, -1), np.take_along_axis(vectors, order[..., None, :], -1)
-    return EigenDecomposition(values, vectors)
+    order = np.argsort(values, axis=-1)[..., None, ::-1]
+    return EigenDecomposition(np.take_along_axis(values, order[..., 0, :], -1), np.take_along_axis(vectors, order, -1))
 
 
 def operator_norm(matrix):
@@ -349,8 +350,7 @@ def matrix_to_json_dict(matrix) -> dict:
 
 def vector_to_json_dict(vector) -> dict:
     """Vectors travel as single-column matrices."""
-    vec = as_vector(vector)
-    return matrix_to_json_dict(vec.reshape(-1, 1))
+    return matrix_to_json_dict(as_vector(vector).reshape(-1, 1))
 
 
 def matrix_from_json_dict(obj, name: str = "matrix") -> np.ndarray:

@@ -21,8 +21,10 @@ from ineqlab.linalg import (
     psd_power,
     psd_sqrt,
     require_hermitian,
+    require_operator_on,
     require_orthogonal_projection,
     require_positive_semidefinite,
+    require_same_length,
     require_spectrum,
     require_window,
     vector_from_json_dict,
@@ -330,6 +332,18 @@ def test_non_finite_stack_row_raises_as_that_matrix_alone():
     stack[2, 0, 1] = np.nan
     for check in (as_matrices, operator_norm, require_positive_semidefinite):
         assert first_error(check, stack) == first_error(check, stack[2])
+
+
+def test_length_checks_compare_trial_counts():
+    stack, vectors = np.zeros((3, 2, 2)), np.zeros((3, 2))
+    require_same_length(("x", vectors), ("y", vectors))
+    require_operator_on(stack, vectors, "A", "x")
+    with pytest.raises(errors.DimensionMismatch, match=r"y has shape \(1, 2\) but x has shape \(3, 2\)"):
+        require_same_length(("x", vectors), ("y", vectors[:1]))
+    with pytest.raises(errors.DimensionMismatch, match=r"N has shape \(2, 2\) but M has shape \(3, 2, 2\)"):
+        require_same_length(("M", stack), ("N", stack[0]))
+    with pytest.raises(errors.DimensionMismatch, match=r"A has shape \(3, 2, 2\) but x has shape \(1, 2\)"):
+        require_operator_on(stack, vectors[:1], "A", "x")
 
 
 # ---------------------------------------------------------------------------

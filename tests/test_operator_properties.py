@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
-from ineqlab.errors import IneqLabError  # noqa: E402
+from ineqlab.errors import DimensionMismatch, IneqLabError  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
 
 KERNEL_SUITES = [
@@ -171,9 +171,6 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
         ("lemma_2A", "below_window", "SpectrumOutOfRange"),
         ("corollary38_norm", "below_window", "SpectrumOutOfRange"),
         ("bourin_r2", "below_window", "NotPositiveSemidefinite"),
-        ("corollary33_scaled", "zero", "ZeroOperator"),
-        ("remark36_scaled", "zero", "ZeroOperator"),
-        ("remark36_polar", "zero", "ZeroOperator"),
     ],
 )
 def test_kernel_raises_the_first_failing_rows_error(name, kind, error):
@@ -189,3 +186,15 @@ def test_kernel_raises_the_first_failing_rows_error(name, kind, error):
     with pytest.raises(expected[0]) as raised:
         spec.batch(*inputs, **spec.kwargs)
     assert str(raised.value) == expected[1]
+
+
+@pytest.mark.parametrize("name", KERNEL_SUITES)
+def test_kernel_rejects_inputs_with_unequal_trial_counts(name):
+    # One input holds one trial beside three-trial others: no input may broadcast.
+    spec = REGISTRY[name]
+    stream = trial_stream(EnsembleConfig(spec.family, 3, 43, 3), np.arange(3))
+    inputs = spec.arranged([draw(family, stream, 3) for family in spec.draws])
+    for position in range(len(inputs)):
+        short = [block[:1] if i == position else block for i, block in enumerate(inputs)]
+        with pytest.raises(DimensionMismatch, match="has shape"):
+            spec.batch(*short, **spec.kwargs)

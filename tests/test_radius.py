@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ineqlab import radius as radius_module
+from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.errors import DimensionMismatch, InvalidInput
 from ineqlab.linalg import operator_norm
 from ineqlab.radius import (
@@ -200,6 +201,51 @@ def test_upper_is_certified_within_1e10():
         assert result.omega <= result.upper * (1.0 + ROUNDING)
         assert result.upper <= result.norm
         assert result.upper - result.omega <= 1e-10 * result.omega
+
+
+def degenerate_cases():
+    """Matrices whose g is flat or has a multiple top eigenvalue at its maximum."""
+    rng = np.random.default_rng(23)
+    t = random_complex(rng, 3)
+    unitary, _ = np.linalg.qr(random_complex(rng, 4))
+    phases = np.diag([1.5, 1.5j, -0.4, 0.2 + 0.1j])
+    g = random_complex(rng, 4)
+    return {
+        "shift": SHIFT,
+        "t_plus_t": np.block([[t, np.zeros((3, 3))], [np.zeros((3, 3)), t]]),
+        "normal_equal_moduli": unitary @ phases @ unitary.conj().T,
+        "hermitian": g + g.conj().T,
+        "rank_one": np.outer(random_complex(rng, 5)[:, 0], random_complex(rng, 5)[0]),
+        "one_by_one": np.array([[-0.3 + 0.4j]]),
+        "zero": np.zeros((4, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_cases()))
+def test_polish_on_flat_or_multiple_maxima(name):
+    matrix = degenerate_cases()[name]
+    assert_matches_sweep(matrix)
+    result = numerical_radius(matrix)
+    assert result.upper - result.omega <= 1e-10 * result.omega
+
+
+def test_one_pencil_per_radius_on_ginibre_draws(monkeypatch):
+    # Each row handed to the crossing test is one 2n x 2n pencil solve.
+    pencils = []
+    crossing_angles = radius_module._crossing_angles
+
+    def counted(matrix, level, tol):
+        pencils.append(np.size(level))
+        return crossing_angles(matrix, level, tol)
+
+    monkeypatch.setattr(radius_module, "_crossing_angles", counted)
+    calls = 0
+    for dim in (2, 4, 8, 16):
+        stream = trial_stream(EnsembleConfig("ginibre", dim, 7, 40), np.arange(40))
+        for matrix in draw("ginibre", stream, dim):
+            numerical_radius(matrix)
+            calls += 1
+    assert sum(pencils) / calls <= 1.25
 
 
 def test_level_test_finds_crossings_below_omega():

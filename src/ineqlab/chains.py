@@ -119,12 +119,15 @@ class ChainBatch:
 
 
 def chain_batch(
-    check_name: str, terms: Sequence[tuple[str, np.ndarray]], tol: ToleranceConfig | None = None, omega_grade=False
+    check_name: str, terms: Sequence[tuple[str, np.ndarray]], tol: ToleranceConfig | None = None, radii: Sequence = ()
 ) -> ChainBatch:
     """The verdict on labeled terms, each an array over the trial axis.
 
     Values must be finite reals, and a chain needs at least two terms.  A
     non-finite value raises for the first trial with one, naming its term.
+    ``radii`` holds the :class:`~ineqlab.radius.RadiusResult` (per trial) of
+    every numerical radius in the terms; a chain with any is omega-grade, and
+    the first trial with a radius not certified to ``eps_rel_omega`` raises.
     """
     if len(terms) < 2:
         raise InvalidInput(f"{check_name}: a chain needs at least two terms")
@@ -132,32 +135,27 @@ def chain_batch(
     values = np.array([value for _, value in terms], dtype=np.float64).T.reshape(-1, len(labels))
     if not np.isfinite(values).all():
         raise InvalidInput(f"{check_name}: term {labels[np.argwhere(~np.isfinite(values))[0][1]]!r} is not finite")
-    floor = (tol if tol is not None else DEFAULT_TOLERANCE).slack_floor(values, omega_grade)
+    tol = tol if tol is not None else DEFAULT_TOLERANCE
+    loose = [np.broadcast_to(r.upper - r.omega > tol.eps_rel_omega * r.omega, len(values)) for r in radii]
+    if any(flags.any() for flags in loose):
+        trial = int(np.argmax(np.any(loose, axis=0)))
+        radius = radii[int(np.argmax([flags[trial] for flags in loose]))]
+        omega, upper = (float(np.broadcast_to(v, len(values))[trial]) for v in (radius.omega, radius.upper))
+        raise ConvergenceError(
+            f"{check_name}: numerical radius {omega!r} is certified only up to "
+            f"{upper!r}, beyond eps_rel_omega={tol.eps_rel_omega:g}"
+        )
+    floor = tol.slack_floor(values, bool(radii))
     slacks = values[:, 1:] - values[:, :-1]
     passed = (slacks >= -floor[:, None]).all(axis=1)
     return ChainBatch(check_name, labels, values, slacks, passed, floor)
 
 
 def make_chain(
-    check_name: str,
-    terms: Sequence[tuple[str, float]],
-    tolerance: ToleranceConfig | None = None,
-    radii: Sequence = (),
+    check_name: str, terms: Sequence[tuple[str, float]], tolerance: ToleranceConfig | None = None, radii: Sequence = ()
 ) -> ChainResult:
-    """The ChainResult of one trial: :func:`chain_batch` on a batch of one.
-
-    ``radii`` holds the :class:`~ineqlab.radius.RadiusResult` of every
-    numerical radius in the terms; a chain with any is omega-grade.
-    """
-    batch = chain_batch(check_name, terms, tolerance, bool(radii))
-    tol = tolerance if tolerance is not None else DEFAULT_TOLERANCE
-    for radius in radii:
-        if radius.upper - radius.omega > tol.eps_rel_omega * radius.omega:
-            raise ConvergenceError(
-                f"{check_name}: numerical radius {radius.omega!r} is certified only up to "
-                f"{radius.upper!r}, beyond eps_rel_omega={tol.eps_rel_omega:g}"
-            )
-    return batch.result()
+    """The ChainResult of one trial: :func:`chain_batch` on a batch of one."""
+    return chain_batch(check_name, terms, tolerance, radii).result()
 
 
 @dataclass

@@ -32,10 +32,10 @@ import numpy as np
 
 from . import operator_ineq as op_ineq
 from . import vector_ineq as vec_ineq
-from .chains import ChainBatch, ChainResult, ToleranceConfig, make_chain
+from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch
 from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
-from .linalg import load_matrix, load_vector, read_json
+from .linalg import as_matrices, load_matrix, load_vector, read_json
 from .prng import Stream
 from .radius import numerical_radius, numerical_radius_sampling_oracle
 
@@ -76,8 +76,9 @@ class SuiteSpec:
     * ``suite_inputs``: suite runs evaluate these fixed inputs on every
       trial instead of drawing (the counterexample); ``draws`` then only
       gives the input kinds for check mode.
-    * ``suite_samples``: suite runs draw one extra raw word as the oracle
-      seed and pass it with this sample count in place of ``kwargs``.
+    * ``suite_samples``: suite runs draw one extra raw word per trial as the
+      oracle seed and pass it (an array of them to ``batch``) with this
+      sample count in place of ``kwargs``.
     """
 
     name: str
@@ -107,33 +108,36 @@ class SuiteSpec:
         trial raises."""
         drawn = [draw(family, stream, dim) for family in self.draws] if self.suite_inputs is None else None
         seeds = stream.raw(1).reshape(-1) if self.suite_samples is not None else None
+
+        def kwargs(rows):
+            return self.kwargs if seeds is None else {"samples": self.suite_samples, "seed": seeds[rows]}
+
         if stream.batched and self.batch is not None:
             try:
-                return self.batch(*self.arranged(drawn), tolerance=tol, **self.kwargs)
+                return self.batch(*self.arranged(drawn), tolerance=tol, **kwargs(slice(None)))
             except IneqLabError:
                 pass
         results = []
         for row in range(stream.keys.size):
             inputs = self.suite_inputs or self.arranged([x[row] if stream.batched else x for x in drawn])
-            kwargs = self.kwargs if seeds is None else {"samples": self.suite_samples, "seed": int(seeds[row])}
-            results.append(self.chain(*inputs, tolerance=tol, **kwargs))
+            results.append(self.chain(*inputs, tolerance=tol, **kwargs(row)))
         return ChainBatch.stack(results) if stream.batched else results[0]
 
 
+def _omega_oracle_batch(matrix, tolerance: ToleranceConfig, samples: int, seed) -> ChainBatch:
+    """Cross-check chain: sampled max quadratic form <= omega <= norm, with
+    one oracle seed per trial of a stack."""
+    mats = as_matrices(matrix)
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    seeds = np.broadcast_to(seed, len(stack))
+    oracle = [numerical_radius_sampling_oracle(m, samples, int(s)) for m, s in zip(stack, seeds)]
+    radius = numerical_radius(stack)
+    terms = [("sampling_oracle_max", oracle), ("omega_sweep", radius.omega), ("operator_norm", radius.norm)]
+    return chain_batch("omega_oracle", terms, tolerance, radii=(radius,))
+
+
 def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: int) -> ChainResult:
-    """Cross-check chain: sampled max quadratic form <= omega <= norm."""
-    oracle = numerical_radius_sampling_oracle(matrix, samples, seed)
-    radius = numerical_radius(matrix)
-    return make_chain(
-        "omega_oracle",
-        [
-            ("sampling_oracle_max", oracle),
-            ("omega_sweep", radius.omega),
-            ("operator_norm", radius.norm),
-        ],
-        tolerance,
-        radii=(radius,),
-    )
+    return _omega_oracle_batch(matrix, tolerance, samples, seed).result()
 
 
 def _build_registry() -> dict[str, SuiteSpec]:
@@ -143,6 +147,9 @@ def _build_registry() -> dict[str, SuiteSpec]:
 
     def vector(name, draws, chain, batch, kwargs=None) -> SuiteSpec:
         return SuiteSpec(name, draws, chain, kwargs or {}, default_trials=1000, batch=batch)
+
+    def omega(name, draws, chain, batch, kwargs=None, **fields) -> SuiteSpec:
+        return SuiteSpec(name, draws, chain, kwargs or {}, default_trials=200, batch=batch, **fields)
 
     specs = [
         vector("buzano", (v, v, v), vec_ineq.buzano_chain, vec_ineq.buzano_batch),
@@ -160,23 +167,18 @@ def _build_registry() -> dict[str, SuiteSpec]:
         SuiteSpec("corollary35", pc_xy, op_ineq.corollary35_chain, batch=op_ineq.corollary35_batch),
         SuiteSpec("remark36_scaled", psd_xy, op_ineq.remark36_scaled, batch=op_ineq.remark36_scaled_batch),
         SuiteSpec("remark36_polar", ginibre_xy, op_ineq.remark36_polar_chain, batch=op_ineq.remark36_polar_batch),
-        SuiteSpec("corollary37", ("psd", "ginibre"), op_ineq.corollary37_chain, order=(1, 0), default_trials=200),
-        SuiteSpec("corollary38_omega", sandwich, op_ineq.corollary38_omega_chain, default_trials=200),
+        omega("corollary37", ("psd", "ginibre"), op_ineq.corollary37_chain, op_ineq.corollary37_batch, order=(1, 0)),
+        omega("corollary38_omega", sandwich, op_ineq.corollary38_omega_chain, op_ineq.corollary38_omega_batch),
         SuiteSpec("corollary38_norm", sandwich, op_ineq.corollary38_norm_chain, batch=op_ineq.corollary38_norm_batch),
-        SuiteSpec("power_r1", sandwich, op_ineq.power_chain, {"power": 1.0}, default_trials=200),
-        SuiteSpec("power_r2", sandwich, op_ineq.power_chain, {"power": 2.0}, default_trials=200),
-        SuiteSpec("power_r3", sandwich, op_ineq.power_chain, {"power": 3.0}, default_trials=200),
+        omega("power_r1", sandwich, op_ineq.power_chain, op_ineq.power_batch, {"power": 1.0}),
+        omega("power_r2", sandwich, op_ineq.power_chain, op_ineq.power_batch, {"power": 2.0}),
+        omega("power_r3", sandwich, op_ineq.power_chain, op_ineq.power_batch, {"power": 3.0}),
         SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_property, {"power": 1.0}, batch=op_ineq.bourin_batch),
         SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_property, {"power": 2.0}, batch=op_ineq.bourin_batch),
-        SuiteSpec("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_chain, default_trials=200),
-        SuiteSpec(
-            "omega_oracle",
-            ("ginibre",),
-            _omega_oracle_chain,
-            {"samples": ORACLE_CHECK_SAMPLES, "seed": 0},
-            default_trials=200,
-            suite_samples=ORACLE_SUITE_SAMPLES,
-        ),
+        omega("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_chain,
+              op_ineq.final_omega_refinement_batch),
+        omega("omega_oracle", ("ginibre",), _omega_oracle_chain, _omega_oracle_batch,
+              {"samples": ORACLE_CHECK_SAMPLES, "seed": 0}, suite_samples=ORACLE_SUITE_SAMPLES),
         SuiteSpec(
             "remark36_counterexample",
             ginibre_xy,

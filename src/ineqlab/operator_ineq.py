@@ -2,8 +2,9 @@
 numerical-radius product bounds, spectral power bounds, and the closing
 refinement of omega(T) <= ||T||.
 
-Each chain without a numerical radius is one kernel, ``<chain>_batch``, over
-a leading trial axis; its public chain is that kernel on one trial's inputs.
+Each chain is one kernel, ``<chain>_batch``, over a leading trial axis; its
+public chain is that kernel on one trial's inputs.  The two numerical radii
+of a trial go into one stacked :func:`~ineqlab.radius.numerical_radius` call.
 Every checker validates the hypotheses it relies on and raises a typed error
 when they fail; a stack raises the error of its first failing trial.  The one
 deliberate exception, :func:`remark36_scaled_unchecked`, skips the positivity
@@ -38,7 +39,7 @@ from .linalg import (
     require_spectrum,
     row_norms,
 )
-from .radius import numerical_radius
+from .radius import RadiusResult, numerical_radius
 
 
 def _as_power(power) -> float:
@@ -196,27 +197,34 @@ def remark36_polar_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     return remark36_polar_batch(A, x, y, tolerance).result()
 
 
+def _radius_pair(first: np.ndarray, second: np.ndarray) -> tuple[RadiusResult, RadiusResult]:
+    """The numerical radii of two operators of one trial, or of two stacks,
+    from one stacked call; every field is per trial."""
+    both = numerical_radius(np.stack((first, second)).reshape(-1, *first.shape[-2:]))
+    halves = [np.split(field, 2) for field in (both.omega, both.argmax_angle, both.witness, both.norm, both.upper)]
+    return RadiusResult(*(half[0] for half in halves)), RadiusResult(*(half[1] for half in halves))
+
+
+def corollary37_batch(A, B, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    mat_a = as_matrices(A, "A")
+    sym_b = require_positive_semidefinite(B, "B")
+    require_same_length(("A", mat_a), ("B", sym_b))
+    radius_ab, radius_a = _radius_pair(mat_a @ sym_b, mat_a)
+    norm_b = operator_norm(sym_b)
+    terms = [
+        ("omega_product", radius_ab.omega),
+        ("half_norm_split", 0.5 * norm_b * (radius_a.omega + radius_a.norm)),
+        ("three_halves_bound", 1.5 * norm_b * radius_a.omega),
+    ]
+    return chain_batch("corollary37", terms, tolerance, radii=(radius_ab, radius_a))
+
+
 def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Numerical radius of a product against a positive factor.
 
     omega(AB) <= (||B||/2)(omega(A) + ||A||) <= (3/2) ||B|| omega(A).
     """
-    mat_a = as_square_matrix(A, "A")
-    sym_b = require_positive_semidefinite(B, "B")
-    require_same_length(("A", mat_a), ("B", sym_b))
-    radius_ab = numerical_radius(mat_a @ sym_b)
-    radius_a = numerical_radius(mat_a)
-    norm_b = operator_norm(sym_b)
-    return make_chain(
-        "corollary37",
-        [
-            ("omega_product", radius_ab.omega),
-            ("half_norm_split", 0.5 * norm_b * (radius_a.omega + radius_a.norm)),
-            ("three_halves_bound", 1.5 * norm_b * radius_a.omega),
-        ],
-        tolerance,
-        radii=(radius_ab, radius_a),
-    )
+    return corollary37_batch(A, B, tolerance).result()
 
 
 def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,23 +235,21 @@ def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sym_a, mat_s, mat_t
 
 
+def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    sym_a, mat_s, mat_t = _require_triple(A, S, T)
+    radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
+    moduli = mat_t.conj().swapaxes(-1, -2) @ mat_t + mat_s @ mat_s.conj().swapaxes(-1, -2)
+    bound = 0.25 * operator_norm(moduli) + 0.5 * radius_st.omega
+    terms = [("omega_sandwich", radius_sat.omega), ("moduli_plus_half_omega", bound)]
+    return chain_batch("corollary38_omega", terms, tolerance, radii=(radius_sat, radius_st))
+
+
 def corollary38_omega_chain(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Sandwiched numerical radius bound:
 
     omega(S A T) <= (1/4) || |T|^2 + |S*|^2 || + (1/2) omega(S T).
     """
-    sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    radius_sat = numerical_radius(mat_s @ sym_a @ mat_t)
-    radius_st = numerical_radius(mat_s @ mat_t)
-    mod_t_sq = mat_t.conj().T @ mat_t
-    mod_s_adj_sq = mat_s @ mat_s.conj().T
-    bound = 0.25 * operator_norm(mod_t_sq + mod_s_adj_sq) + 0.5 * radius_st.omega
-    return make_chain(
-        "corollary38_omega",
-        [("omega_sandwich", radius_sat.omega), ("moduli_plus_half_omega", bound)],
-        tolerance,
-        radii=(radius_sat, radius_st),
-    )
+    return corollary38_omega_batch(A, S, T, tolerance).result()
 
 
 def corollary38_norm_batch(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -258,6 +264,19 @@ def corollary38_norm_chain(A, S, T, tolerance: ToleranceConfig | None = None) ->
     return corollary38_norm_batch(A, S, T, tolerance).result()
 
 
+def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    r = _as_power(power)
+    sym_a, mat_s, mat_t = _require_triple(A, S, T)
+    radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
+    mod_t_2r = psd_power(mat_t.conj().swapaxes(-1, -2) @ mat_t, r, "T*T")
+    mod_s_adj_2r = psd_power(mat_s @ mat_s.conj().swapaxes(-1, -2), r, "SS*")
+    # Python's float power, row by row: numpy's power rounds some rows differently.
+    sat_r, st_r = (np.array([omega**r for omega in radius.omega.tolist()]) for radius in (radius_sat, radius_st))
+    bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * st_r
+    terms = [("omega_sandwich_power", sat_r), ("moduli_power_bound", bound)]
+    return chain_batch(f"power_r{_power_tag(r)}", terms, tolerance, radii=(radius_sat, radius_st))
+
+
 def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Power form of the sandwich bound, r >= 1:
 
@@ -266,19 +285,7 @@ def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     |X|^{2r} is computed by raising the eigenvalues of the PSD matrix X* X to
     the power r, avoiding an intermediate square root.
     """
-    r = _as_power(power)
-    sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    radius_sat = numerical_radius(mat_s @ sym_a @ mat_t)
-    radius_st = numerical_radius(mat_s @ mat_t)
-    mod_t_2r = psd_power(mat_t.conj().T @ mat_t, r, "T*T")
-    mod_s_adj_2r = psd_power(mat_s @ mat_s.conj().T, r, "SS*")
-    bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * radius_st.omega**r
-    return make_chain(
-        f"power_r{_power_tag(r)}",
-        [("omega_sandwich_power", radius_sat.omega**r), ("moduli_power_bound", bound)],
-        tolerance,
-        radii=(radius_sat, radius_st),
-    )
+    return power_batch(A, S, T, power, tolerance).result()
 
 
 def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -311,6 +318,22 @@ def contraction_builder(A) -> np.ndarray:
     return 0.5 * (eye + root)
 
 
+def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    mat = as_matrices(T, "T")
+    polar = polar_decompose(mat)
+    radius_t, radius_ur = _radius_pair(mat, polar.unitary @ psd_sqrt(polar.modulus, "|T|"))
+    norm_t = radius_t.norm
+    sqrt_norm = np.sqrt(norm_t)
+    terms = [
+        ("omega", radius_t.omega),
+        ("half_rotated_omega", 0.5 * (norm_t + sqrt_norm * radius_ur.omega)),
+        ("half_rotated_norm", 0.5 * (norm_t + sqrt_norm * radius_ur.norm)),
+        ("unitary_factor_bound", 0.5 * (norm_t + sqrt_norm * operator_norm(polar.unitary) * sqrt_norm)),
+        ("operator_norm", norm_t),
+    ]
+    return chain_batch("final_omega_refinement", terms, tolerance, radii=(radius_t, radius_ur))
+
+
 def final_omega_refinement_chain(T, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Refinement chain between omega(T) and ||T||.
 
@@ -321,22 +344,4 @@ def final_omega_refinement_chain(T, tolerance: ToleranceConfig | None = None) ->
             <= (||T|| + ||T||^{1/2} ||UR||)/2
             <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||.
     """
-    mat = as_square_matrix(T, "T")
-    polar = polar_decompose(mat)
-    half_power = psd_sqrt(polar.modulus, "|T|")
-    radius_t = numerical_radius(mat)
-    radius_ur = numerical_radius(polar.unitary @ half_power)
-    norm_t = radius_t.norm
-    sqrt_norm = float(np.sqrt(norm_t))
-    return make_chain(
-        "final_omega_refinement",
-        [
-            ("omega", radius_t.omega),
-            ("half_rotated_omega", 0.5 * (norm_t + sqrt_norm * radius_ur.omega)),
-            ("half_rotated_norm", 0.5 * (norm_t + sqrt_norm * radius_ur.norm)),
-            ("unitary_factor_bound", 0.5 * (norm_t + sqrt_norm * operator_norm(polar.unitary) * sqrt_norm)),
-            ("operator_norm", norm_t),
-        ],
-        tolerance,
-        radii=(radius_t, radius_ur),
-    )
+    return final_omega_refinement_batch(T, tolerance).result()

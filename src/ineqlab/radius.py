@@ -11,10 +11,10 @@ The maximum is found as in Mitchell (SIAM J. Sci. Comput. 45, 2023): a cheap
 local ascent, then one level-set eigenproblem of Mengi & Overton (IMA J.
 Numer. Anal. 25, 2005) as the globality test.  From the best of 8 start
 angles, Newton steps on g polish theta, one ``eigh`` of H(theta) per step:
-g' = v1* H' v1 and g'' = -g + 2 sum_j |vj* H' v1|^2 / (g - lambda_j), with a
-bounded ascent step where g'' >= 0.  omega is the largest g seen, or the
-attained |<T w, w>| of its top eigenvector w if that is larger, so it is a
-lower bound on w(T) that never overshoots.
+g' = v1* H' v1 and g'' = -g + 2 sum_j |vj* H' v1|^2 / (g - lambda_j), with
+the bounded ascent step g'/||T|| where g'' >= 0.  omega is the largest g
+seen, or the attained |<T w, w>| of its top eigenvector w if that is larger,
+so it is a lower bound on w(T) that never overshoots.
 
 A level r is an eigenvalue of H(theta) exactly when z = e^{i theta} is an
 eigenvalue of the quadratic pencil Q(z) = z^2 T - 2 r z I + T*, so one 2n x 2n
@@ -31,6 +31,11 @@ Q is solved on the unit circle after the disc map z = (u + a)/(1 + conj(a) u)
 with |a| = 1/2, which keeps the leading coefficient conj(a)^2 Q(1/conj(a))
 invertible even for singular T; if it is singular anyway, a second centre a
 is tried.
+
+A (trials, n, n) stack runs every step once over the rows still in it: one
+stacked ``eigh`` for the rows still polishing, one stacked solve and
+``eigvals`` for the rows being certified or lifted, ragged crossing sets
+NaN-padded.  Each row is rounded exactly as the one-matrix call.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import as_square_matrix, inner, matvec, modulus, operator_norm, row_norms
+from .linalg import as_matrices, as_square_matrix, inner, matvec, modulus, operator_norm, row_norms
 from .prng import Stream, mix64
 
 _ORACLE_BLOCK = 4096
@@ -63,9 +68,9 @@ _STEP_TOL = 1e-9
 
 @dataclass
 class RadiusResult:
-    """Level-set output: the radius estimate, its angle, a unit witness vector
-    with |<T w, w>| equal to omega up to rounding, the certified ``upper``
-    bound on w(T), and ``norm`` = :func:`~ineqlab.linalg.operator_norm` of T."""
+    """The radius estimate, its angle, a unit witness vector with |<T w, w>|
+    equal to omega up to rounding, the certified ``upper`` bound on w(T), and
+    ``norm`` = :func:`~ineqlab.linalg.operator_norm` of T; arrays over trials for a stack."""
 
     omega: float
     argmax_angle: float
@@ -75,131 +80,147 @@ class RadiusResult:
 
 
 def _hermitian_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    adj = matrix.conj().T
+    adj = matrix.conj().swapaxes(-1, -2)
     h0 = 0.5 * (matrix + adj)
     k0 = 0.5j * (matrix - adj)
     return h0, k0
 
 
 def _angle_values(h0: np.ndarray, k0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(H(theta)) for a batch of angles."""
-    stack = (
-        np.cos(thetas)[:, None, None] * h0[None, :, :]
-        + np.sin(thetas)[:, None, None] * k0[None, :, :]
-    )
-    return np.linalg.eigvalsh(stack)[:, -1]
+    """lambda_max(H(theta)) for a batch of angles, per row of a stack of (h0, k0)."""
+    cos, sin = np.cos(thetas)[..., None, None], np.sin(thetas)[..., None, None]
+    return np.linalg.eigvalsh(cos * h0[..., None, :, :] + sin * k0[..., None, :, :])[..., -1]
 
 
-def _crossing_angles(matrix: np.ndarray, level: float, tol: float) -> np.ndarray | None:
-    """Sorted angles in [0, 2pi) at which ``level`` is an eigenvalue of
-    H(theta), or None when the pencil is singular at every centre."""
-    n = matrix.shape[0]
-    adj = matrix.conj().T
-    eye = np.eye(n)
-    companion = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    companion[:n, n:] = eye
+def _pencil_roots(lead: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per row, the eigenvalues u of lead u^2 + middle u + const, rhs = [const, middle];
+    NaN for a row whose ``lead`` is singular."""
+    count, n = lead.shape[:2]
+    companion = np.zeros((count, 2 * n, 2 * n), dtype=np.complex128)
+    companion[:, :n, n:] = np.eye(n)
+    try:
+        companion[:, n:] = -np.linalg.solve(lead, rhs)
+        return np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        if count == 1:
+            return np.full((1, 2 * n), np.nan)
+        return np.concatenate([_pencil_roots(lead[t : t + 1], rhs[t : t + 1]) for t in range(count)])
+
+
+def _crossing_angles(matrices: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
+    """Per row t, the sorted angles in [0, 2pi) at which levels[t] is an
+    eigenvalue of H(theta) of matrices[t], NaN-padded to 2n; a row whose
+    pencil is singular at every centre is all +inf."""
+    n = matrices.shape[-1]
+    angles, eye = np.full((len(matrices), 2 * n), np.inf), np.eye(n)
+    todo = np.arange(len(matrices))
     for a in _CENTRES:
+        if not todo.size:
+            break
         b = np.conj(a)
+        mat, level = matrices[todo], levels[todo, None, None]
+        adj = mat.conj().swapaxes(-1, -2)
         # (1 + b u)^2 Q(z) = lead u^2 + middle u + const, with lead = b^2 Q(1/b).
-        lead = matrix - (2.0 * level * b) * eye + (b * b) * adj
-        middle = 2.0 * a * matrix - (2.0 * level * (1.0 + abs(a) ** 2)) * eye + 2.0 * b * adj
-        const = (a * a) * matrix - (2.0 * level * a) * eye + adj
-        try:
-            companion[n:] = -np.linalg.solve(lead, np.hstack((const, middle)))
-            u = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError:
-            continue
+        lead = mat - (2.0 * level * b) * eye + (b * b) * adj
+        middle = 2.0 * a * mat - (2.0 * level * (1.0 + abs(a) ** 2)) * eye + 2.0 * b * adj
+        const = (a * a) * mat - (2.0 * level * a) * eye + adj
+        u = _pencil_roots(lead, np.concatenate((const, middle), axis=-1))
+        solved = ~np.isnan(u).any(axis=1)
         # The disc map keeps the unit circle, so test |u| before mapping.
-        u = u[np.abs(np.abs(u) - 1.0) < tol]
-        return np.sort(np.mod(np.angle((u + a) / (1.0 + b * u)), 2.0 * np.pi))
-    return None
+        near = np.abs(np.abs(u[solved]) - 1.0) < tol
+        u = np.where(near, u[solved], 1.0)
+        angles[todo[solved]] = np.sort(np.where(near, np.mod(np.angle((u + a) / (1.0 + b * u)), 2.0 * np.pi), np.nan))
+        todo = todo[~solved]
+    return angles
 
 
-def _certified_upper(matrix: np.ndarray, omega: float, norm: float, deltas: tuple[float, ...]) -> float:
-    """Lowest level omega (1 + delta) with no crossing, else ||T||."""
+def _certified_upper(
+    matrices: np.ndarray, omegas: np.ndarray, norms: np.ndarray, deltas: tuple[float, ...]
+) -> np.ndarray:
+    """Per row, the lowest level omega (1 + delta) with no crossing, else ||T||."""
+    upper = norms.copy()
     for delta in deltas:
-        level = omega * (1.0 + delta)
-        if level >= norm:
-            break
-        angles = _crossing_angles(matrix, level, _CERTIFY_TOL)
-        if angles is not None and angles.size == 0:
-            return level
-    return norm
+        levels = omegas * (1.0 + delta)
+        rows = np.flatnonzero((upper == norms) & (levels < norms))
+        certified = np.isnan(_crossing_angles(matrices[rows], levels[rows], _CERTIFY_TOL)).all(axis=1)
+        upper[rows[certified]] = levels[rows[certified]]
+    return upper
 
 
-def _lift(matrix: np.ndarray, h0: np.ndarray, k0: np.ndarray, level: float) -> float | None:
-    """The midpoint of consecutive crossings of ``level`` at which g is
-    highest, when g rises above ``level`` there; else None."""
-    angles = _crossing_angles(matrix, level, _LIFT_TOL)
-    if angles is None or angles.size == 0:
-        return None
+def _lift(matrices: np.ndarray, h0: np.ndarray, k0: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per row, the midpoint of consecutive crossings of its level at which g
+    is highest, when g rises above the level there; else NaN."""
+    angles = _crossing_angles(matrices, levels, _LIFT_TOL)
+    angles[np.isinf(angles)] = np.nan
     # Midpoints of consecutive crossings, the last one across 2pi.
-    mids = 0.5 * (angles + np.append(angles[1:], angles[0] + 2.0 * np.pi))
-    values = _angle_values(h0, k0, mids)
-    best = int(np.argmax(values))
-    return float(mids[best]) if values[best] > level else None
+    following = np.roll(angles, -1, axis=1)
+    following[np.arange(len(angles)), np.count_nonzero(~np.isnan(angles), axis=1) - 1] = angles[:, 0] + 2.0 * np.pi
+    mids = 0.5 * (angles + following)
+    values = np.where(np.isnan(mids), -np.inf, _angle_values(h0, k0, np.nan_to_num(mids)))
+    best = np.argmax(values, axis=1)[:, None]
+    return np.where(np.take_along_axis(values, best, 1)[:, 0] > levels, np.take_along_axis(mids, best, 1)[:, 0], np.nan)
 
 
-def _polish(h0: np.ndarray, k0: np.ndarray, theta: float, scale: float) -> tuple[float, float, np.ndarray]:
-    """Newton ascent on g from ``theta``: the best (g, theta, top eigenvector)
-    seen.  Where g'' >= 0 the step is g'/||T||; every step is bounded."""
-    best = (-np.inf, theta, None)
+def _polish(h0: np.ndarray, k0: np.ndarray, theta: np.ndarray, scale: np.ndarray):
+    """Newton ascent on g from ``theta`` per row: the best (g, theta, top eigenvector) seen."""
+    best, best_theta, best_top = np.full(len(theta), -np.inf), theta.copy(), np.zeros(h0.shape[:2], np.complex128)
+    theta, rows = theta.copy(), np.arange(len(theta))
     for _ in range(_POLISH_STEPS):
-        cos, sin = np.cos(theta), np.sin(theta)
-        values, vectors = np.linalg.eigh(cos * h0 + sin * k0)
-        top = vectors[:, -1]
-        if values[-1] > best[0]:
-            best = (float(values[-1]), theta, top)
+        cos, sin = np.cos(theta[rows])[:, None, None], np.sin(theta[rows])[:, None, None]
+        values, vectors = np.linalg.eigh(cos * h0[rows] + sin * k0[rows])
+        better = values[:, -1] > best[rows]
+        best[rows[better]], best_theta[rows[better]] = values[better, -1], theta[rows[better]]
+        best_top[rows[better]] = vectors[better, :, -1]
         # coupling[j] = v_j* H' v_1 with H' = -sin h0 + cos k0; a zero gap adds nothing to g''.
-        coupling = matvec(vectors.conj().T, matvec(cos * k0 - sin * h0, top))
-        gaps = values[-1] - values[:-1]
-        pull = np.divide(modulus(coupling[:-1]) ** 2, gaps, out=np.zeros_like(gaps), where=gaps > 0.0)
-        slope, curvature = float(coupling[-1].real), 2.0 * float(pull.sum()) - float(values[-1])
-        step = min(max(-slope / curvature if curvature < 0.0 else slope / scale, -_STEP_BOUND), _STEP_BOUND)
-        if abs(step) <= _STEP_TOL:
+        coupling = matvec(vectors.conj().swapaxes(-1, -2), matvec(cos * k0[rows] - sin * h0[rows], vectors[..., -1]))
+        gaps = values[:, -1:] - values[:, :-1]
+        pull = np.divide(modulus(coupling[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps), where=gaps > 0.0)
+        slope, curvature = coupling[:, -1].real, 2.0 * pull.sum(axis=1) - values[:, -1]
+        newton = np.divide(-slope, curvature, out=slope / scale[rows], where=curvature < 0.0)
+        step = np.clip(newton, -_STEP_BOUND, _STEP_BOUND)
+        theta[rows] += step
+        rows = rows[np.abs(step) > _STEP_TOL]
+        if not rows.size:
             break
-        theta += step
-    return best
+    return best, best_theta, best_top
 
 
-def _normalize_witness_phase(vector: np.ndarray) -> np.ndarray:
-    """Deterministic representative: largest-magnitude entry made real positive."""
-    idx = int(np.argmax(np.abs(vector)))
-    pivot = vector[idx]
-    if pivot != 0:
-        vector = vector * (np.conj(pivot) / abs(pivot))
-    return vector
+def _normalize_witness_phase(vectors: np.ndarray) -> np.ndarray:
+    """Deterministic representative: per row, the largest-magnitude entry made real positive."""
+    pivot = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-1)[..., None], -1)
+    return vectors * (np.conj(pivot) / modulus(pivot))
 
 
 def numerical_radius(matrix) -> RadiusResult:
-    """Numerical radius of a square matrix by the polished level set above."""
-    mat = as_square_matrix(matrix)
-    n = mat.shape[0]
-    scale = operator_norm(mat)
-    if scale == 0.0:
-        witness = np.zeros(n, dtype=np.complex128)
-        witness[0] = 1.0
-        return RadiusResult(omega=0.0, argmax_angle=0.0, witness=witness, norm=0.0, upper=0.0)
-
-    h0, k0 = _hermitian_parts(mat)
-    theta = float(_START_ANGLES[int(np.argmax(_angle_values(h0, k0, _START_ANGLES)))])
+    """Numerical radius of a square matrix by the polished level set above; of
+    each trial of a (trials, n, n) stack, with every field then per trial."""
+    mats = as_matrices(matrix)
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    norm = np.asarray(operator_norm(stack))
+    omega, angle, start, upper = np.zeros(len(stack)), np.zeros(len(stack)), np.zeros(len(stack)), norm.copy()
+    witness = np.eye(1, stack.shape[-1], dtype=np.complex128).repeat(len(stack), axis=0)
+    h0, k0 = _hermitian_parts(stack)
+    rows = np.flatnonzero(norm > 0.0)
+    start[rows] = _START_ANGLES[np.argmax(_angle_values(h0[rows], k0[rows], _START_ANGLES), axis=1)]
     for _ in range(_MAX_LEVEL_STEPS):
-        value, best_theta, top = _polish(h0, k0, theta, scale)
-        witness = _normalize_witness_phase(top.copy())
-        witness = witness / row_norms(witness)
-        omega = max(value, float(modulus(inner(matvec(mat, witness), witness))))
+        value, angle[rows], top = _polish(h0[rows], k0[rows], start[rows], norm[rows])
+        top = _normalize_witness_phase(top)
+        witness[rows] = top = top / row_norms(top)[:, None]
+        omega[rows] = np.maximum(value, modulus(inner(matvec(stack[rows], top), top)))
         # The certificate is the globality test: a crossing above omega means
         # the polish stopped at a local maximum, so lift past it and polish again.
-        upper = _certified_upper(mat, omega, scale, _CERTIFY_DELTAS[:1])
-        if upper < scale or omega * (1.0 + _CERTIFY_DELTAS[0]) >= scale:
+        upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[:1])
+        rows = rows[(upper[rows] == norm[rows]) & (omega[rows] * (1.0 + _CERTIFY_DELTAS[0]) < norm[rows])]
+        if not rows.size:
             break
-        theta = _lift(mat, h0, k0, omega)
-        if theta is None:
-            break
-    if upper == scale:
-        upper = _certified_upper(mat, omega, scale, _CERTIFY_DELTAS[1:])
-    angle = float(np.mod(best_theta, 2.0 * np.pi))
-    return RadiusResult(omega=omega, argmax_angle=angle, witness=witness, norm=scale, upper=upper)
+        start[rows] = _lift(stack[rows], h0[rows], k0[rows], omega[rows])
+        rows = rows[~np.isnan(start[rows])]
+    rows = np.flatnonzero(upper == norm)
+    upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[1:])
+    fields = (omega, np.mod(angle, 2.0 * np.pi), witness, norm, upper)
+    if mats.ndim == 3:
+        return RadiusResult(*fields)
+    return RadiusResult(*(field[0] if field.ndim > 1 else float(field[0]) for field in fields))
 
 
 def numerical_radius_sampling_oracle(matrix, samples: int, seed: int) -> float:

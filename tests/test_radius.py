@@ -253,10 +253,10 @@ def test_level_test_finds_crossings_below_omega():
     for n in (2, 4, 8):
         t = random_complex(rng, n)
         level = 0.99 * numerical_radius(t).omega
-        angles = _crossing_angles(t, level, _CERTIFY_TOL)
-        assert angles is not None and angles.size >= 2
+        angles = _crossing_angles(t[None], np.array([level]), _CERTIFY_TOL)[0]
+        assert np.count_nonzero(np.isfinite(angles)) >= 2
         h0, k0 = _hermitian_parts(t)
-        for theta in angles:
+        for theta in angles[np.isfinite(angles)]:
             spectrum = np.linalg.eigvalsh(np.cos(theta) * h0 + np.sin(theta) * k0)
             assert np.min(np.abs(spectrum - level)) <= 1e-9 * level
 
@@ -266,11 +266,11 @@ def test_singular_leading_coefficient_falls_back_to_second_centre(monkeypatch):
     # of the first centre, so the leading coefficient is exactly singular.
     t = np.diag([1.0, 2.0]).astype(complex)
     expected = np.sort(np.mod([math.acos(0.625), -math.acos(0.625)], 2.0 * np.pi))
-    angles = _crossing_angles(t, 1.25, _CERTIFY_TOL)
-    assert angles is not None
-    assert np.allclose(angles, expected, rtol=0.0, atol=1e-12)
+    angles = _crossing_angles(t[None], np.array([1.25]), _CERTIFY_TOL)[0]
+    assert np.allclose(angles[:2], expected, rtol=0.0, atol=1e-12)
+    assert np.isnan(angles[2:]).all()
     monkeypatch.setattr(radius_module, "_CENTRES", radius_module._CENTRES[:1])
-    assert _crossing_angles(t, 1.25, _CERTIFY_TOL) is None
+    assert np.isposinf(_crossing_angles(t[None], np.array([1.25]), _CERTIFY_TOL)).all()
 
 
 def test_sampling_oracle_is_lower_bound_and_deterministic():

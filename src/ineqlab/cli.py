@@ -7,16 +7,20 @@ Exit codes: 0 all checks passed, 1 a mathematical violation was found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .errors import DimensionMismatch, IneqLabError, PreconditionError
-from .harness import check_single, default_config, run_all, suite_names
+from .harness import REGISTRY, check_single, default_config, run_all
 from .linalg import load_matrix, vector_to_json_dict
 from .radius import numerical_radius
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process; ``--suite``
+    reads its choices from the live registry, so later suites are accepted."""
     parser = argparse.ArgumentParser(
         prog="ineqlab",
         description="Verify inner-product, operator-norm and numerical-radius inequality chains "
@@ -29,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run suites from a config file, one named suite, or the built-in default set",
     )
     run_p.add_argument("--config", help="JSON config path (mutually exclusive with --suite)")
-    run_p.add_argument("--suite", choices=suite_names(), help="run a single registered suite")
+    run_p.add_argument("--suite", choices=REGISTRY.keys(), help="run a single registered suite")
     run_p.add_argument("--dim", type=int, help="matrix/vector dimension")
     run_p.add_argument("--trials", type=int, help="number of seeded trials")
     run_p.add_argument("--seed", type=int, help="master seed in [0, 2^64)")

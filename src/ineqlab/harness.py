@@ -129,8 +129,7 @@ def _omega_oracle_batch(matrix, tolerance: ToleranceConfig, samples: int, seed) 
     one oracle seed per trial of a stack."""
     mats = as_matrices(matrix)
     stack = mats.reshape(-1, *mats.shape[-2:])
-    seeds = np.broadcast_to(seed, len(stack))
-    oracle = [numerical_radius_sampling_oracle(m, samples, int(s)) for m, s in zip(stack, seeds)]
+    oracle = numerical_radius_sampling_oracle(stack, samples, seed)
     radius = numerical_radius(stack)
     terms = [("sampling_oracle_max", oracle), ("omega_sweep", radius.omega), ("operator_norm", radius.norm)]
     return chain_batch("omega_oracle", terms, tolerance, radii=(radius,))

@@ -36,8 +36,11 @@ _U64_MIX_2 = np.uint64(MIX_2)
 _TWO_NEG_53 = float(2.0 ** -53)
 
 
-def mix64(value: int) -> int:
-    """Splitmix64 avalanche finalizer on a Python int (mod 2^64)."""
+def mix64(value):
+    """Splitmix64 avalanche finalizer on a Python int (mod 2^64), or on each
+    entry of a uint64 array."""
+    if isinstance(value, np.ndarray):
+        return _mix64_array(value)
     z = value & _MASK
     z = ((z ^ (z >> 30)) * MIX_1) & _MASK
     z = ((z ^ (z >> 27)) * MIX_2) & _MASK

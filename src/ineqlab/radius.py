@@ -36,6 +36,14 @@ A (trials, n, n) stack runs every step once over the rows still in it: one
 stacked ``eigh`` for the rows still polishing, one stacked solve and
 ``eigvals`` for the rows being certified or lifted, ragged crossing sets
 NaN-padded.  Each row is rounded exactly as the one-matrix call.
+
+The sampling oracle is the independent lower bound max |<T x, x>| over
+Gaussian unit vectors x from a counter-based stream keyed by a seed.  It
+takes a stack too, with one seed per trial: one ``Stream`` holds the keys,
+and each step draws the next samples of every trial, at most about 8192
+complex entries in all so that its blocks stay in cache, and forms them with
+one batched BLAS matmul.  Row t equals the one-matrix call at any chunking
+and step size.
 """
 
 from __future__ import annotations
@@ -45,10 +53,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import as_matrices, as_square_matrix, inner, matvec, modulus, operator_norm, row_norms
+from .linalg import as_matrices, inner, matvec, modulus, operator_norm, row_norms
 from .prng import Stream, mix64
 
-_ORACLE_BLOCK = 4096
+# Complex entries (trials x samples x n) per sampling-oracle step: small
+# enough to stay in cache, large enough for one BLAS matmul to pay.
+_ORACLE_STEP_ENTRIES = 8192
 _START_ANGLES = (2.0 * np.pi / 8) * np.arange(8)
 # Disc-map centres, tried in order while the leading coefficient is singular.
 _CENTRES = (0.5, 0.5j)
@@ -223,28 +233,34 @@ def numerical_radius(matrix) -> RadiusResult:
     return RadiusResult(*(field[0] if field.ndim > 1 else float(field[0]) for field in fields))
 
 
-def numerical_radius_sampling_oracle(matrix, samples: int, seed: int) -> float:
-    """Monte-Carlo lower bound: max |<T x, x>| over random unit vectors.
+def numerical_radius_sampling_oracle(matrix, samples: int, seed):
+    """Monte-Carlo lower bound: max |<T x, x>| over ``samples`` random unit
+    vectors x; per trial of a (trials, n, n) stack, with one seed per trial
+    (an array) or one for all.
 
-    Uses a private counter-based stream keyed only by ``seed``, so results
-    depend on nothing but (matrix, samples, seed).
+    Each trial draws from a private counter-based stream keyed only by its
+    seed, so its result depends on nothing but (matrix, samples, seed), not
+    on the stack around it or on the step size.
     """
-    mat = as_square_matrix(matrix)
+    mats = as_matrices(matrix)
     if samples < 1:
         raise InvalidInput(f"samples must be at least 1, got {samples}")
-    n = mat.shape[0]
-    stream = Stream(mix64(seed))
-    best = 0.0
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    trials, n = stack.shape[:2]
+    seeds = np.asarray(seed if isinstance(seed, np.ndarray) else int(seed) % 2**64, dtype=np.uint64)
+    stream = Stream(mix64(np.broadcast_to(seeds, trials)))
+    step = max(2, _ORACLE_STEP_ENTRIES // (trials * n))
+    best = np.zeros(trials)
     remaining = samples
     while remaining > 0:
-        block = min(remaining, _ORACLE_BLOCK)
+        # A step never holds a lone last sample: numpy runs a one-row matmul
+        # through gemv, which rounds unlike gemm (only samples == 1 does).
+        block = remaining if remaining <= step + 1 else step
         remaining -= block
-        draws = stream.complex_gaussians(block * n).reshape(block, n)
-        norms = np.linalg.norm(draws, axis=1)
+        draws = stream.complex_gaussians(block * n).reshape(trials, block, n)
+        norms = np.linalg.norm(draws, axis=-1)
         norms[norms == 0.0] = 1.0
-        unit = draws / norms[:, None]
-        forms = np.einsum("ij,jk,ik->i", unit.conj(), mat, unit)
-        block_best = float(np.max(np.abs(forms)))
-        if block_best > best:
-            best = block_best
-    return best
+        unit = draws / norms[..., None]
+        forms = np.einsum("tij,tij->ti", unit.conj(), unit @ stack.swapaxes(-1, -2))
+        best = np.maximum(best, np.abs(forms).max(axis=1))
+    return best if mats.ndim == 3 else float(best[0])

@@ -10,7 +10,8 @@ import pytest
 from ineqlab import radius as radius_module
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.errors import DimensionMismatch, InvalidInput
-from ineqlab.linalg import operator_norm
+from ineqlab.linalg import as_square_matrix, operator_norm
+from ineqlab.prng import Stream, derive_key, mix64
 from ineqlab.radius import (
     _CERTIFY_TOL,
     _angle_values,
@@ -271,6 +272,66 @@ def test_singular_leading_coefficient_falls_back_to_second_centre(monkeypatch):
     assert np.isnan(angles[2:]).all()
     monkeypatch.setattr(radius_module, "_CENTRES", radius_module._CENTRES[:1])
     assert np.isposinf(_crossing_angles(t[None], np.array([1.25]), _CERTIFY_TOL)).all()
+
+
+def einsum_sampling_oracle(matrix, samples, seed):
+    """The one-matrix oracle that the stacked one replaced: blocks of 4096
+    samples and the 3-operand einsum, kept as the reference."""
+    mat = as_square_matrix(matrix)
+    n = mat.shape[0]
+    stream = Stream(mix64(seed))
+    best = 0.0
+    remaining = samples
+    while remaining > 0:
+        block = min(remaining, 4096)
+        remaining -= block
+        draws = stream.complex_gaussians(block * n).reshape(block, n)
+        norms = np.linalg.norm(draws, axis=1)
+        norms[norms == 0.0] = 1.0
+        unit = draws / norms[:, None]
+        forms = np.einsum("ij,jk,ik->i", unit.conj(), mat, unit)
+        best = max(best, float(np.max(np.abs(forms))))
+    return best
+
+
+@pytest.mark.parametrize("samples", [1, 3, 512, 10000])
+def test_stacked_sampling_oracle_rows_equal_one_matrix_calls(samples, monkeypatch):
+    """Row t is the one-matrix call on row t bit for bit, in every chunking of
+    the stack and at every step budget."""
+    rng = np.random.default_rng(samples)
+    trials = 8
+    seeds = derive_key(samples, np.arange(trials))
+    for n in range(1, 17):
+        stack = np.stack([random_complex(rng, n) for _ in range(trials)])
+        alone = np.array([numerical_radius_sampling_oracle(m, samples, int(s)) for m, s in zip(stack, seeds)])
+        for chunk in (1, 7, trials):
+            parts = [
+                numerical_radius_sampling_oracle(stack[i : i + chunk], samples, seeds[i : i + chunk])
+                for i in range(0, trials, chunk)
+            ]
+            assert np.array_equal(np.concatenate(parts), alone), (n, chunk)
+        # The chunkings above already step 10000 samples 64 to 8192 at a time;
+        # steps of two would take 5000 numpy rounds per call.
+        for budget in (1, 100, 10**6) if samples <= 512 else (10**6,):
+            monkeypatch.setattr(radius_module, "_ORACLE_STEP_ENTRIES", budget)
+            assert np.array_equal(numerical_radius_sampling_oracle(stack, samples, seeds), alone), (n, budget)
+        monkeypatch.undo()
+
+
+def test_sampling_oracle_agrees_with_einsum_reference():
+    """Within 1e-15 of ||T||: the rounding of a quadratic form scales with T,
+    not with the form, and one sample's form can sit far below ||T||."""
+    rng = np.random.default_rng(23)
+    cases = [np.zeros((3, 3)), 2.5 * np.eye(4), (0.3 - 1.1j) * np.eye(2), SHIFT]
+    cases += [random_complex(rng, n) for n in range(1, 17)]
+    for t in cases:
+        scale = operator_norm(t)
+        for samples in (1, 513, 10000):
+            for seed in (0, 77, -5):
+                new = numerical_radius_sampling_oracle(t, samples, seed)
+                assert abs(new - einsum_sampling_oracle(t, samples, seed)) <= 1e-15 * scale
+                if scale == 0.0:
+                    assert new == 0.0
 
 
 def test_sampling_oracle_is_lower_bound_and_deterministic():

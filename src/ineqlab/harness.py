@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -229,7 +229,9 @@ class SuiteReport:
     runtime_ms: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["tightest_instances"] = [dict(instance) for instance in self.tightest_instances]
+        return row
 
 
 def run_suite(
@@ -378,8 +380,7 @@ def report_document(reports: Sequence[SuiteReport]) -> dict:
 
 def write_report(reports: Sequence[SuiteReport], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_document(reports), handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(report_document(reports), indent=2) + "\n")
 
 
 _CSV_COLUMNS = tuple(f.name for f in fields(SuiteReport) if f.name != "tightest_instances")
@@ -389,8 +390,8 @@ def write_csv(reports: Sequence[SuiteReport], path: str) -> None:
     """Flattened one-row-per-suite export (tightest instances omitted)."""
     lines = [",".join(_CSV_COLUMNS)]
     for report in reports:
-        row = report.to_dict()
-        lines.append(",".join(repr(row[col]) if isinstance(row[col], float) else str(row[col]) for col in _CSV_COLUMNS))
+        row = [getattr(report, col) for col in _CSV_COLUMNS]
+        lines.append(",".join(repr(value) if isinstance(value, float) else str(value) for value in row))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -40,10 +40,10 @@ NaN-padded.  Each row is rounded exactly as the one-matrix call.
 The sampling oracle is the independent lower bound max |<T x, x>| over
 Gaussian unit vectors x from a counter-based stream keyed by a seed.  It
 takes a stack too, with one seed per trial: one ``Stream`` holds the keys,
-and each step draws the next samples of every trial, at most about 8192
-complex entries in all so that its blocks stay in cache, and forms them with
-one batched BLAS matmul.  Row t equals the one-matrix call at any chunking
-and step size.
+and each step draws the next samples of every trial, at most about 4096
+complex entries in all so that its blocks stay in cache and on the heap, and
+forms them with one batched BLAS matmul.  Row t equals the one-matrix call
+at any chunking and step size.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ from .errors import InvalidInput
 from .linalg import as_matrices, inner, matvec, modulus, operator_norm, row_norms
 from .prng import Stream, mix64
 
-# Complex entries (trials x samples x n) per sampling-oracle step: small
-# enough to stay in cache, large enough for one BLAS matmul to pay.
-_ORACLE_STEP_ENTRIES = 8192
+# Complex entries (trials x samples x n) per sampling-oracle step: small enough
+# to stay in cache and, as 64 KiB arrays under glibc's 128 KiB mmap threshold,
+# on the heap (no fresh pages per step); large enough for one BLAS matmul to pay.
+_ORACLE_STEP_ENTRIES = 4096
 _START_ANGLES = (2.0 * np.pi / 8) * np.arange(8)
 # Disc-map centres, tried in order while the leading coefficient is singular.
 _CENTRES = (0.5, 0.5j)

@@ -1,7 +1,7 @@
 """Suite runner: aggregation, config handling, determinism, check mode."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from ineqlab.chains import ToleranceConfig, make_chain
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.harness import (
     REGISTRY,
+    SCHEMA_VERSION,
+    SuiteReport,
     SuiteSpec,
     check_single,
     default_config,
@@ -363,6 +365,43 @@ def test_write_csv(tmp_path):
     json_path = tmp_path / "out.json"
     write_report([report], str(json_path))
     assert json.loads(json_path.read_text())["suites"][0]["suite_name"] == "buzano"
+
+
+def test_to_dict_copies_tightest_instances():
+    report = run_suite("buzano", EnsembleConfig(family="unit_vector", dim=3, master_seed=4, trials=10))
+    before = asdict(report)
+    doc = report.to_dict()
+    assert doc == before
+    doc["tightest_instances"][0]["slack"] = 123.0
+    doc["tightest_instances"][1].clear()
+    doc["tightest_instances"].append({"trial": -1})
+    assert asdict(report) == before
+    assert report.to_dict() == before
+
+
+def reference_report_files(reports, directory):
+    """Both report files as written through dataclasses.asdict and json.dump."""
+    json_path, csv_path = directory / "reference.json", directory / "reference.csv"
+    with open(json_path, "w", encoding="utf-8") as handle:
+        json.dump({"schema_version": SCHEMA_VERSION, "suites": [asdict(r) for r in reports]}, handle, indent=2)
+        handle.write("\n")
+    columns = [f.name for f in fields(SuiteReport) if f.name != "tightest_instances"]
+    lines = [",".join(columns)]
+    for row in map(asdict, reports):
+        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+    with open(csv_path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return json_path.read_bytes(), csv_path.read_bytes()
+
+
+def test_report_writers_match_asdict_reference(tmp_path):
+    tol, plans, _ = parse_config(default_config())
+    shrunk = [(spec, replace(ensemble, trials=3)) for spec, ensemble in plans]
+    reports, _ = execute_plans(shrunk, tol)
+    write_report(reports, str(tmp_path / "report.json"))
+    write_csv(reports, str(tmp_path / "report.csv"))
+    written = (tmp_path / "report.json").read_bytes(), (tmp_path / "report.csv").read_bytes()
+    assert written == reference_report_files(reports, tmp_path)
 
 
 # ---------------------------------------------------------------------------

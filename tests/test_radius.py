@@ -310,7 +310,7 @@ def test_stacked_sampling_oracle_rows_equal_one_matrix_calls(samples, monkeypatc
                 for i in range(0, trials, chunk)
             ]
             assert np.array_equal(np.concatenate(parts), alone), (n, chunk)
-        # The chunkings above already step 10000 samples 64 to 8192 at a time;
+        # The chunkings above already step 10000 samples 32 to 4096 at a time;
         # steps of two would take 5000 numpy rounds per call.
         for budget in (1, 100, 10**6) if samples <= 512 else (10**6,):
             monkeypatch.setattr(radius_module, "_ORACLE_STEP_ENTRIES", budget)

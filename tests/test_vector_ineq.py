@@ -1,10 +1,13 @@
 """Vector inequality chains: fixed examples, property loops, edge policies."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ineqlab import errors
 from ineqlab.vector_ineq import (
+    _units,
     angles,
     buzano_chain,
     cs_refinement_chain,
@@ -12,6 +15,7 @@ from ineqlab.vector_ineq import (
     lemma21_chain,
     lin_triangle_refined,
     projection_buzano,
+    psi_infimum_batch,
     psi_infimum_property,
 )
 
@@ -111,6 +115,108 @@ def test_psi_infimum_grid_matches_literal_reference():
         x, y = random_vec(rng, n), random_vec(rng, n)
         batched = psi_infimum_property(x, y, grid=3600).terms[1][1]
         assert abs(batched - literal_grid_min_phi(x, y, 3600)) <= tolerance
+
+
+def full_grid_min_phi(x, y, grid):
+    """The full-grid kernel: phi(e^{i theta} u, w) on every grid phase, in
+    (trials, dim, grid) blocks summed over the vector axis, then the min."""
+    u, w = _units(("x", x), ("y", y))
+    table = np.exp(1j * (2.0 * np.pi * np.arange(grid) / grid))
+    cos, sin = table.real, table.imag
+    rows = max(1, (1 << 16) // (grid * u.shape[1]))
+    min_phi = np.empty(u.shape[0])
+    for start in range(0, u.shape[0], rows):
+        ub, wb = u[start : start + rows, :, None], w[start : start + rows, :, None]
+        re, im = cos * ub.real - sin * ub.imag, cos * ub.imag + sin * ub.real
+        minus = np.sum((re - wb.real) ** 2 + (im - wb.imag) ** 2, axis=1)
+        plus = np.sum((re + wb.real) ** 2 + (im + wb.imag) ** 2, axis=1)
+        min_phi[start : start + rows] = 2.0 * np.arctan2(np.sqrt(minus), np.sqrt(plus)).min(axis=1)
+    return min_phi
+
+
+def nearest_phase_min_phi(x, y, grid):
+    return psi_infimum_batch(x, y, grid=grid).values[:, 1]
+
+
+def complex_rows(rng, rows, dim):
+    return rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+
+
+def orthogonal_part(rng, x):
+    """Random rows orthogonal to the rows of x (rounding-level at dim 1)."""
+    v = complex_rows(rng, *x.shape)
+    return v - (np.sum(v * x.conj(), axis=1) / np.sum(x * x.conj(), axis=1).real)[:, None] * x
+
+
+PHASE_GRIDS = (8, 9, 360, 3600, 3601)
+
+
+@pytest.mark.parametrize("grid", PHASE_GRIDS)
+def test_psi_infimum_nearest_phases_match_full_grid(grid):
+    rng = np.random.default_rng(grid)
+    rows = 6
+    for dim in range(1, 34):
+        x = complex_rows(rng, rows, dim)
+        unimodular = np.exp(1j * rng.uniform(-np.pi, np.pi, (rows, 1)))
+        # Optimum halfway between two grid phases: -arg<x, c x> = arg c.
+        tie = np.exp(1j * 2.0 * np.pi * (rng.integers(0, grid, (rows, 1)) + 0.5) / grid)
+        cases = {
+            "complex": (x, complex_rows(rng, rows, dim)),
+            "real": (rng.standard_normal((rows, dim)), rng.standard_normal((rows, dim))),
+            "real_opposite": (x.real, -2.5 * x.real),
+            "collinear": (x, rng.uniform(0.1, 3.0, (rows, 1)) * unimodular * x),
+            "tie_collinear": (x, tie * x),
+            "tie_mixed": (x, tie * x + 0.5 * orthogonal_part(rng, x)),
+        }
+        for name, (a, b) in cases.items():
+            got, want = nearest_phase_min_phi(a, b, grid), full_grid_min_phi(a, b, grid)
+            assert np.array_equal(got, want), (name, dim, got - want)
+
+
+@pytest.mark.parametrize("grid", PHASE_GRIDS)
+def test_psi_infimum_near_orthogonal_within_ulps_above_full_grid(grid):
+    # With |<u, w>| at rounding level phi is flat over the whole grid, and a
+    # far phase can round a few ulps lower than the three nearest ones.
+    rng = np.random.default_rng(100 + grid)
+    for dim in range(2, 34):
+        x = complex_rows(rng, 8, dim)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        v = orthogonal_part(rng, x)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        y = v + 1e-14 * np.exp(1j * rng.uniform(0, 2 * np.pi, (8, 1))) * x
+        u, w = _units(("x", x), ("y", y))
+        assert np.all(np.abs(np.sum(u * w.conj(), axis=1)) <= 1e-13)
+        got, want = nearest_phase_min_phi(x, y, grid), full_grid_min_phi(x, y, grid)
+        assert np.all(got >= want)
+        assert np.all(got - want <= 4 * np.spacing(want)), (dim, (got - want) / np.spacing(want))
+
+
+def test_psi_infimum_cost_does_not_grow_with_grid():
+    # A full grid of 10**8 phases would need (128, 16, 10**8) blocks; the
+    # three nearest phases need (128, 16, 3).
+    rng = np.random.default_rng(8)
+    grid = 10**8
+    batch = psi_infimum_batch(complex_rows(rng, 128, 16), complex_rows(rng, 128, 16), grid=grid)
+    assert batch.passed.all()
+    psi, min_phi, band = batch.values.T
+    assert np.array_equal(band, psi + np.pi / grid)
+    gap = min_phi - psi
+    assert np.all((gap >= -1e-12) & (gap <= np.pi / grid + 1e-12))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, np.nan)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_psi_infimum_non_finite_row_raises_without_new_warnings(bad, side):
+    rng = np.random.default_rng(5)
+    pair = [complex_rows(rng, 4, 3), complex_rows(rng, 4, 3)]
+    pair[side][2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Scaling the row to unit norm already warns on the non-finite entry;
+        # any other warning, such as a cast of the phase index, is an error.
+        warnings.filterwarnings("ignore", "invalid value encountered in divide", RuntimeWarning)
+        with pytest.raises(errors.InvalidInput, match="psi_infimum: term 'psi' is not finite"):
+            psi_infimum_batch(*pair, grid=3600)
 
 
 def test_psi_infimum_validates_grid():

@@ -3,15 +3,17 @@
 Every inequality checker in this package reduces to the same shape: an
 ordered list of real terms that is claimed to be nondecreasing.  The chain
 verdict lives here, in one function over a leading trial axis
-(:func:`chain_batch`), so that each checker only has to compute its terms;
-:func:`make_chain` is that verdict on a batch of one.
+(:func:`chain_batch`), so that each checker only has to compute its terms.
+Each checker is one batch kernel; :func:`one_trial` derives its public
+one-trial chain, and :func:`make_chain` is the verdict's own.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,13 +104,6 @@ class ChainBatch:
     passed: np.ndarray
     tolerance_used: np.ndarray
 
-    @classmethod
-    def stack(cls, results: Sequence[ChainResult]) -> ChainBatch:
-        """One row per one-trial result of the same chain."""
-        labels = tuple(label for label, _ in results[0].terms)
-        rows = [(r.values, r.slacks, r.passed, r.tolerance_used) for r in results]
-        return cls(results[0].check_name, labels, *(np.array(column) for column in zip(*rows)))
-
     def result(self, row: int | None = None) -> ChainResult:
         if row is None and len(self.values) != 1:  # a one-trial call given a stack
             raise InvalidInput(f"{self.check_name}: expected one trial's inputs, got a stack of {len(self.values)}")
@@ -119,7 +114,7 @@ class ChainBatch:
 
 
 def chain_batch(
-    check_name: str, terms: Sequence[tuple[str, np.ndarray]], tol: ToleranceConfig | None = None, radii: Sequence = ()
+    check_name: str, terms: Sequence[tuple[str, np.ndarray]], tolerance: ToleranceConfig | None = None, radii=()
 ) -> ChainBatch:
     """The verdict on labeled terms, each an array over the trial axis.
 
@@ -135,7 +130,7 @@ def chain_batch(
     values = np.array([value for _, value in terms], dtype=np.float64).T.reshape(-1, len(labels))
     if not np.isfinite(values).all():
         raise InvalidInput(f"{check_name}: term {labels[np.argwhere(~np.isfinite(values))[0][1]]!r} is not finite")
-    tol = tol if tol is not None else DEFAULT_TOLERANCE
+    tol = tolerance if tolerance is not None else DEFAULT_TOLERANCE
     loose = [np.broadcast_to(r.upper - r.omega > tol.eps_rel_omega * r.omega, len(values)) for r in radii]
     if any(flags.any() for flags in loose):
         trial = int(np.argmax(np.any(loose, axis=0)))
@@ -151,11 +146,35 @@ def chain_batch(
     return ChainBatch(check_name, labels, values, slacks, passed, floor)
 
 
-def make_chain(
-    check_name: str, terms: Sequence[tuple[str, float]], tolerance: ToleranceConfig | None = None, radii: Sequence = ()
-) -> ChainResult:
-    """The ChainResult of one trial: :func:`chain_batch` on a batch of one."""
-    return chain_batch(check_name, terms, tolerance, radii).result()
+def trial_inputs(convert: Callable) -> Callable:
+    """Kernel decorator for :func:`one_trial`: ``convert(*args, **kwargs)``
+    checks one trial's inputs and returns the kernel's ``(args, kwargs)`` on
+    a batch of one.  Kernels that take one trial's inputs as they are need none."""
+
+    def mark(kernel):
+        kernel.trial_inputs = convert
+        return kernel
+
+    return mark
+
+
+@functools.cache
+def one_trial(kernel: Callable[..., ChainBatch]) -> Callable[..., ChainResult]:
+    """The one-trial chain of a batch kernel: the kernel on one trial's
+    inputs, then :meth:`ChainBatch.result`, which rejects a stack.  It keeps
+    the kernel's module, name and docstring, and is built once per kernel."""
+    convert = getattr(kernel, "trial_inputs", None)
+
+    @functools.wraps(kernel)
+    def chain(*args, **kwargs) -> ChainResult:
+        if convert is not None:
+            args, kwargs = convert(*args, **kwargs)
+        return kernel(*args, **kwargs).result()
+
+    return chain
+
+
+make_chain = one_trial(chain_batch)
 
 
 @dataclass

@@ -2,15 +2,15 @@
 statistics, and emits deterministic JSON/CSV reports.
 
 Every suite is one ``SuiteSpec`` row of ``REGISTRY``: the ensemble families
-of its chain inputs in a pinned draw order, and the chain they feed.  Each
-trial derives a private stream from (master_seed, trial_index), draws the
-row's inputs, and evaluates the chain; ``check_single`` loads the same
-inputs from JSON files and calls the same chain.  Reports are therefore a
-pure function of the config, except for the runtime fields.
+of its chain inputs in a pinned draw order, and the batch kernel they feed.
+Each trial derives a private stream from (master_seed, trial_index), draws
+the row's inputs, and evaluates the kernel; ``check_single`` loads the same
+inputs from JSON files and calls the kernel's one-trial chain.  Reports are
+therefore a pure function of the config, except for the runtime fields.
 
 ``run_suite`` walks the trials in chunks of ``TRIAL_CHUNK`` along a trial
-axis; a chunk draws each input in one call, and a batch-native kernel takes
-it whole.  Every number is the one-trial evaluation's, whatever chunks or jobs.
+axis; a chunk draws each input in one call, and the kernel takes it whole.
+Every number is the one-trial evaluation's, whatever chunks or jobs.
 
 One suite is special: ``remark36_counterexample`` evaluates a bound on a
 fixed non-PSD operator where the bound genuinely fails.  That suite counts
@@ -26,13 +26,14 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import operator_ineq as op_ineq
 from . import vector_ineq as vec_ineq
-from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch
+from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, one_trial
 from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
 from .linalg import as_matrices, load_matrix, load_vector, read_json
@@ -66,10 +67,11 @@ class SuiteSpec:
 
     ``draws`` names the ensemble family of each chain input in the pinned
     draw order; the first one is the suite's family.  ``order`` maps draw
-    positions to argument positions where the two differ.  ``chain`` gets
-    the inputs positionally, then ``tolerance`` and the fixed ``kwargs``.
-    ``batch``, when set, is the same chain's batch-native kernel: it takes
-    the inputs with a leading trial axis and returns a ``ChainBatch``.
+    positions to argument positions where the two differ.  ``kernel`` is the
+    chain's batch kernel: it gets the inputs positionally, with a leading
+    trial axis, then ``tolerance`` and the fixed ``kwargs``, and returns a
+    ``ChainBatch``; check mode runs its :func:`~ineqlab.chains.one_trial`
+    chain.
 
     Two suites need more than a draw:
 
@@ -77,13 +79,13 @@ class SuiteSpec:
       trial instead of drawing (the counterexample); ``draws`` then only
       gives the input kinds for check mode.
     * ``suite_samples``: suite runs draw one extra raw word per trial as the
-      oracle seed and pass it (an array of them to ``batch``) with this
-      sample count in place of ``kwargs``.
+      oracle seed and pass an array of them with this sample count in place
+      of ``kwargs``.
     """
 
     name: str
     draws: tuple[str, ...]
-    chain: Callable[..., ChainResult]
+    kernel: Callable[..., ChainBatch]
     kwargs: dict = field(default_factory=dict)
     order: tuple[int, ...] | None = None
     expect_violation: bool = False
@@ -91,7 +93,6 @@ class SuiteSpec:
     default_trials: int = 500
     suite_inputs: tuple | None = None
     suite_samples: int | None = None
-    batch: Callable[..., ChainBatch] | None = None
 
     @property
     def family(self) -> str:
@@ -101,27 +102,27 @@ class SuiteSpec:
         """Inputs in draw order, rearranged into argument order."""
         return list(inputs) if self.order is None else [inputs[i] for i in self.order]
 
-    def evaluate(self, stream: Stream, dim: int, tol: ToleranceConfig) -> ChainResult | ChainBatch:
-        """Draw the inputs from ``stream`` (every key at once) and evaluate the
-        chain: one ChainResult, or a ChainBatch row per key.  A chain without a
-        batch kernel, or a batch that raised, goes row by row: the first failing
-        trial raises."""
-        drawn = [draw(family, stream, dim) for family in self.draws] if self.suite_inputs is None else None
+    def evaluate(self, stream: Stream, dim: int, tol: ToleranceConfig) -> ChainBatch:
+        """Draw the inputs of every key of ``stream`` at once and evaluate the
+        kernel: a ChainBatch row per key.  When the kernel raises, the trials
+        go again one by one through its one-trial chain, so that the first
+        failing trial raises its own error."""
+        trials = stream.keys.size
+        if self.suite_inputs is None:
+            inputs = self.arranged([draw(family, stream, dim) for family in self.draws])
+        else:
+            inputs = [np.array([value] * trials) for value in self.suite_inputs]
         seeds = stream.raw(1).reshape(-1) if self.suite_samples is not None else None
 
         def kwargs(rows):
             return self.kwargs if seeds is None else {"samples": self.suite_samples, "seed": seeds[rows]}
 
-        if stream.batched and self.batch is not None:
-            try:
-                return self.batch(*self.arranged(drawn), tolerance=tol, **kwargs(slice(None)))
-            except IneqLabError:
-                pass
-        results = []
-        for row in range(stream.keys.size):
-            inputs = self.suite_inputs or self.arranged([x[row] if stream.batched else x for x in drawn])
-            results.append(self.chain(*inputs, tolerance=tol, **kwargs(row)))
-        return ChainBatch.stack(results) if stream.batched else results[0]
+        try:
+            return self.kernel(*inputs, tolerance=tol, **kwargs(slice(None)))
+        except IneqLabError:
+            for row in range(trials):
+                one_trial(self.kernel)(*[x[row] for x in inputs], tolerance=tol, **kwargs(row))
+            raise
 
 
 def _omega_oracle_batch(matrix, tolerance: ToleranceConfig, samples: int, seed) -> ChainBatch:
@@ -135,53 +136,42 @@ def _omega_oracle_batch(matrix, tolerance: ToleranceConfig, samples: int, seed) 
     return chain_batch("omega_oracle", terms, tolerance, radii=(radius,))
 
 
-def _omega_oracle_chain(matrix, tolerance: ToleranceConfig, samples: int, seed: int) -> ChainResult:
-    return _omega_oracle_batch(matrix, tolerance, samples, seed).result()
-
-
 def _build_registry() -> dict[str, SuiteSpec]:
     v, xy = "unit_vector", ("unit_vector", "unit_vector")
     psd_xy, pc_xy, ginibre_xy = ("psd", *xy), ("positive_contraction", *xy), ("ginibre", *xy)
     sandwich = ("positive_contraction", "ginibre", "ginibre")
-
-    def vector(name, draws, chain, batch, kwargs=None) -> SuiteSpec:
-        return SuiteSpec(name, draws, chain, kwargs or {}, default_trials=1000, batch=batch)
-
-    def omega(name, draws, chain, batch, kwargs=None, **fields) -> SuiteSpec:
-        return SuiteSpec(name, draws, chain, kwargs or {}, default_trials=200, batch=batch, **fields)
+    vector, omega = partial(SuiteSpec, default_trials=1000), partial(SuiteSpec, default_trials=200)
 
     specs = [
-        vector("buzano", (v, v, v), vec_ineq.buzano_chain, vec_ineq.buzano_batch),
-        vector("lemma21", (v, v, v), vec_ineq.lemma21_chain, vec_ineq.lemma21_batch),
-        vector("cs_refinement", (v, v, v), vec_ineq.cs_refinement_chain, vec_ineq.cs_refinement_batch),
-        vector("krein_triangle", (v, v, v), vec_ineq.krein_triangle, vec_ineq.krein_triangle_batch),
-        vector("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined, vec_ineq.lin_triangle_refined_batch),
-        vector("psi_infimum", (v, v), vec_ineq.psi_infimum_property, vec_ineq.psi_infimum_batch, {"grid": PSI_GRID}),
-        vector("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano, vec_ineq.projection_buzano_batch),
-        SuiteSpec("lemma_2A", psd_xy, op_ineq.lemma_2A_chain, batch=op_ineq.lemma_2A_batch),
-        SuiteSpec("theorem_gap", pc_xy, op_ineq.theorem_gap_chain, batch=op_ineq.theorem_gap_batch),
-        SuiteSpec("corollary33", pc_xy, op_ineq.corollary33_chain, batch=op_ineq.corollary33_batch),
-        SuiteSpec("corollary33_scaled", psd_xy, op_ineq.corollary33_chain, {"scaled": True},
-                  batch=op_ineq.corollary33_batch),
-        SuiteSpec("corollary35", pc_xy, op_ineq.corollary35_chain, batch=op_ineq.corollary35_batch),
-        SuiteSpec("remark36_scaled", psd_xy, op_ineq.remark36_scaled, batch=op_ineq.remark36_scaled_batch),
-        SuiteSpec("remark36_polar", ginibre_xy, op_ineq.remark36_polar_chain, batch=op_ineq.remark36_polar_batch),
-        omega("corollary37", ("psd", "ginibre"), op_ineq.corollary37_chain, op_ineq.corollary37_batch, order=(1, 0)),
-        omega("corollary38_omega", sandwich, op_ineq.corollary38_omega_chain, op_ineq.corollary38_omega_batch),
-        SuiteSpec("corollary38_norm", sandwich, op_ineq.corollary38_norm_chain, batch=op_ineq.corollary38_norm_batch),
-        omega("power_r1", sandwich, op_ineq.power_chain, op_ineq.power_batch, {"power": 1.0}),
-        omega("power_r2", sandwich, op_ineq.power_chain, op_ineq.power_batch, {"power": 2.0}),
-        omega("power_r3", sandwich, op_ineq.power_chain, op_ineq.power_batch, {"power": 3.0}),
-        SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_property, {"power": 1.0}, batch=op_ineq.bourin_batch),
-        SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_property, {"power": 2.0}, batch=op_ineq.bourin_batch),
-        omega("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_chain,
-              op_ineq.final_omega_refinement_batch),
-        omega("omega_oracle", ("ginibre",), _omega_oracle_chain, _omega_oracle_batch,
-              {"samples": ORACLE_CHECK_SAMPLES, "seed": 0}, suite_samples=ORACLE_SUITE_SAMPLES),
+        vector("buzano", (v, v, v), vec_ineq.buzano_batch),
+        vector("lemma21", (v, v, v), vec_ineq.lemma21_batch),
+        vector("cs_refinement", (v, v, v), vec_ineq.cs_refinement_batch),
+        vector("krein_triangle", (v, v, v), vec_ineq.krein_triangle_batch),
+        vector("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined_batch),
+        vector("psi_infimum", (v, v), vec_ineq.psi_infimum_batch, {"grid": PSI_GRID}),
+        vector("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano_batch),
+        SuiteSpec("lemma_2A", psd_xy, op_ineq.lemma_2A_batch),
+        SuiteSpec("theorem_gap", pc_xy, op_ineq.theorem_gap_batch),
+        SuiteSpec("corollary33", pc_xy, op_ineq.corollary33_batch),
+        SuiteSpec("corollary33_scaled", psd_xy, op_ineq.corollary33_batch, {"scaled": True}),
+        SuiteSpec("corollary35", pc_xy, op_ineq.corollary35_batch),
+        SuiteSpec("remark36_scaled", psd_xy, op_ineq.remark36_scaled_batch),
+        SuiteSpec("remark36_polar", ginibre_xy, op_ineq.remark36_polar_batch),
+        omega("corollary37", ("psd", "ginibre"), op_ineq.corollary37_batch, order=(1, 0)),
+        omega("corollary38_omega", sandwich, op_ineq.corollary38_omega_batch),
+        SuiteSpec("corollary38_norm", sandwich, op_ineq.corollary38_norm_batch),
+        omega("power_r1", sandwich, op_ineq.power_batch, {"power": 1.0}),
+        omega("power_r2", sandwich, op_ineq.power_batch, {"power": 2.0}),
+        omega("power_r3", sandwich, op_ineq.power_batch, {"power": 3.0}),
+        SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_batch, {"power": 1.0}),
+        SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_batch, {"power": 2.0}),
+        omega("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_batch),
+        omega("omega_oracle", ("ginibre",), _omega_oracle_batch, {"samples": ORACLE_CHECK_SAMPLES, "seed": 0},
+              suite_samples=ORACLE_SUITE_SAMPLES),
         SuiteSpec(
             "remark36_counterexample",
             ginibre_xy,
-            op_ineq.remark36_scaled_unchecked,
+            op_ineq.remark36_unchecked_batch,
             expect_violation=True,
             default_dim=2,
             default_trials=1,
@@ -470,4 +460,4 @@ def check_single(check_name: str, input_files: Sequence[str]) -> ChainResult:
             f"({', '.join(kinds)}); got {len(input_files)}"
         )
     loaded = [load_vector(path) if kind == "vector" else load_matrix(path) for kind, path in zip(kinds, input_files)]
-    return spec.chain(*loaded, tolerance=ToleranceConfig(), **spec.kwargs)
+    return one_trial(spec.kernel)(*loaded, tolerance=ToleranceConfig(), **spec.kwargs)

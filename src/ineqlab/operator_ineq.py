@@ -2,14 +2,15 @@
 numerical-radius product bounds, spectral power bounds, and the closing
 refinement of omega(T) <= ||T||.
 
-Each chain is one kernel, ``<chain>_batch``, over a leading trial axis; its
-public chain is that kernel on one trial's inputs.  The two numerical radii
-of a trial go into one stacked :func:`~ineqlab.radius.numerical_radius` call.
-Every checker validates the hypotheses it relies on and raises a typed error
-when they fail; a stack raises the error of its first failing trial.  The one
-deliberate exception, :func:`remark36_scaled_unchecked`, skips the positivity
-hypothesis so that the known counterexample can be reproduced as a genuine
-violation.
+Each chain is one kernel, ``<chain>_batch``, on one trial's inputs or on a
+stack of them over a leading trial axis; its public chain, built at the end
+of the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one
+trial's inputs.  The two numerical radii of a trial go into one stacked
+:func:`~ineqlab.radius.numerical_radius` call.  Every kernel validates the
+hypotheses it relies on and raises a typed error when they fail; a stack
+raises the error of its first failing trial.  The one deliberate exception,
+:func:`remark36_unchecked_batch`, skips the positivity hypothesis so that
+the known counterexample can be reproduced as a genuine violation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, make_chain
+from .chains import ChainBatch, ToleranceConfig, chain_batch, one_trial, trial_inputs
 from .errors import InvalidInput, ZeroOperator
 from .linalg import (
     HERMITIAN_TOL,
@@ -80,6 +81,10 @@ def _quad_form(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Cauchy-Schwarz defect bound for (I - A) with 0 <= A <= 2I.
+
+    |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
+    """
     sym = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
     xv, yv = _vector_pair(x, y, sym, "A")
     gap = 2.0 * sym - sym @ sym
@@ -88,15 +93,9 @@ def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBa
     return chain_batch("lemma_2A", [("deflated_inner_product", lhs), ("norm_minus_radical", rhs)], tolerance)
 
 
-def lemma_2A_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Cauchy-Schwarz defect bound for (I - A) with 0 <= A <= 2I.
-
-    |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
-    """
-    return lemma_2A_batch(A, x, y, tolerance).result()
-
-
 def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
+    A - A^2 is at most a quarter of the defect of the identity."""
     sym = _require_positive_contraction(A, "A")
     xv, yv = _vector_pair(x, y, sym, "A")
     gap = sym - sym @ sym
@@ -106,13 +105,12 @@ def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> Chai
     return chain_batch("theorem_gap", terms, tolerance)
 
 
-def theorem_gap_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
-    A - A^2 is at most a quarter of the defect of the identity."""
-    return theorem_gap_batch(A, x, y, tolerance).result()
-
-
 def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Additive Cauchy-Schwarz refinement through a positive operator.
+
+    Unscaled form requires a positive contraction; the scaled form accepts
+    any nonzero PSD operator and divides its contribution by ||A||.
+    """
     sym = _require_nonzero(require_positive_semidefinite(A, "A")) if scaled else _require_positive_contraction(A, "A")
     denom = operator_norm(sym) if scaled else 1.0
     xv, yv = _vector_pair(x, y, sym, "A")
@@ -122,26 +120,13 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
     return chain_batch("corollary33_scaled" if scaled else "corollary33", terms, tolerance)
 
 
-def corollary33_chain(A, x, y, scaled: bool = False, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Additive Cauchy-Schwarz refinement through a positive operator.
-
-    Unscaled form requires a positive contraction; the scaled form accepts
-    any nonzero PSD operator and divides its contribution by ||A||.
-    """
-    return corollary33_batch(A, x, y, scaled, tolerance).result()
-
-
 def corollary35_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Buzano-type bound for a positive contraction in the middle slot."""
     sym = _require_positive_contraction(A, "A")
     xv, yv = _vector_pair(x, y, sym, "A")
     lhs = modulus(inner(matvec(sym, xv), yv))
     rhs = 0.5 * (row_norms(xv) * row_norms(yv) + modulus(inner(xv, yv)))
     return chain_batch("corollary35", [("sandwiched_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
-
-
-def corollary35_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Buzano-type bound for a positive contraction in the middle slot."""
-    return corollary35_batch(A, x, y, tolerance).result()
 
 
 def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -151,28 +136,30 @@ def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tup
 
 
 def remark36_scaled_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
     sym = _require_nonzero(require_positive_semidefinite(A, "A"))
     xv, yv = _vector_pair(x, y, sym, "A")
     return chain_batch("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
 
 
-def remark36_scaled(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
-    return remark36_scaled_batch(A, x, y, tolerance).result()
-
-
-def remark36_scaled_unchecked(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
+@trial_inputs(lambda A, *args, **kwargs: ((as_square_matrix(A, "A"), *args), kwargs))  # one trial: one matrix
+def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Same expression as :func:`remark36_scaled` with no positivity check.
 
     For operators that are not PSD the bound can genuinely fail; this path
     exists so that failure can be demonstrated and asserted on.
     """
-    mat = as_square_matrix(A, "A")
+    mat = as_matrices(A, "A")
     xv, yv = _vector_pair(x, y, mat, "A")
-    return make_chain("remark36_counterexample", _remark36_terms(mat, xv, yv), tolerance)
+    return chain_batch("remark36_counterexample", _remark36_terms(mat, xv, yv), tolerance)
 
 
 def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Polar-decomposition route to the scaled bound for arbitrary nonzero A.
+
+    With A = U |A| the first inequality applies the PSD bound to |A| against
+    the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
+    """
     mat = _require_nonzero(as_matrices(A, "A"))
     xv, yv = _vector_pair(x, y, mat, "A")
     polar = polar_decompose(mat)
@@ -188,15 +175,6 @@ def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     return chain_batch("remark36_polar", terms, tolerance)
 
 
-def remark36_polar_chain(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Polar-decomposition route to the scaled bound for arbitrary nonzero A.
-
-    With A = U |A| the first inequality applies the PSD bound to |A| against
-    the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
-    """
-    return remark36_polar_batch(A, x, y, tolerance).result()
-
-
 def _radius_pair(first: np.ndarray, second: np.ndarray) -> tuple[RadiusResult, RadiusResult]:
     """The numerical radii of two operators of one trial, or of two stacks,
     from one stacked call; every field is per trial."""
@@ -206,6 +184,10 @@ def _radius_pair(first: np.ndarray, second: np.ndarray) -> tuple[RadiusResult, R
 
 
 def corollary37_batch(A, B, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Numerical radius of a product against a positive factor.
+
+    omega(AB) <= (||B||/2)(omega(A) + ||A||) <= (3/2) ||B|| omega(A).
+    """
     mat_a = as_matrices(A, "A")
     sym_b = require_positive_semidefinite(B, "B")
     require_same_length(("A", mat_a), ("B", sym_b))
@@ -219,14 +201,6 @@ def corollary37_batch(A, B, tolerance: ToleranceConfig | None = None) -> ChainBa
     return chain_batch("corollary37", terms, tolerance, radii=(radius_ab, radius_a))
 
 
-def corollary37_chain(A, B, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Numerical radius of a product against a positive factor.
-
-    omega(AB) <= (||B||/2)(omega(A) + ||A||) <= (3/2) ||B|| omega(A).
-    """
-    return corollary37_batch(A, B, tolerance).result()
-
-
 def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sym_a = _require_positive_contraction(A, "A")
     mat_s = as_matrices(S, "S")
@@ -236,6 +210,10 @@ def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Sandwiched numerical radius bound:
+
+    omega(S A T) <= (1/4) || |T|^2 + |S*|^2 || + (1/2) omega(S T).
+    """
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
     moduli = mat_t.conj().swapaxes(-1, -2) @ mat_t + mat_s @ mat_s.conj().swapaxes(-1, -2)
@@ -244,27 +222,22 @@ def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -
     return chain_batch("corollary38_omega", terms, tolerance, radii=(radius_sat, radius_st))
 
 
-def corollary38_omega_chain(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Sandwiched numerical radius bound:
-
-    omega(S A T) <= (1/4) || |T|^2 + |S*|^2 || + (1/2) omega(S T).
-    """
-    return corollary38_omega_batch(A, S, T, tolerance).result()
-
-
 def corollary38_norm_batch(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Operator-norm companion bound: ||S A T|| <= (||T|| ||S|| + ||S T||)/2."""
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     lhs = operator_norm(mat_s @ sym_a @ mat_t)
     rhs = 0.5 * (operator_norm(mat_t) * operator_norm(mat_s) + operator_norm(mat_s @ mat_t))
     return chain_batch("corollary38_norm", [("norm_sandwich", lhs), ("norm_split_bound", rhs)], tolerance)
 
 
-def corollary38_norm_chain(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Operator-norm companion bound: ||S A T|| <= (||T|| ||S|| + ||S T||)/2."""
-    return corollary38_norm_batch(A, S, T, tolerance).result()
-
-
 def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Power form of the sandwich bound, r >= 1:
+
+    omega(S A T)^r <= (1/4) || |T|^{2r} + |S*|^{2r} || + (1/2) omega(S T)^r.
+
+    |X|^{2r} is computed by raising the eigenvalues of the PSD matrix X* X to
+    the power r, avoiding an intermediate square root.
+    """
     r = _as_power(power)
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
@@ -277,18 +250,9 @@ def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     return chain_batch(f"power_r{_power_tag(r)}", terms, tolerance, radii=(radius_sat, radius_st))
 
 
-def power_chain(A, S, T, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Power form of the sandwich bound, r >= 1:
-
-    omega(S A T)^r <= (1/4) || |T|^{2r} + |S*|^{2r} || + (1/2) omega(S T)^r.
-
-    |X|^{2r} is computed by raising the eigenvalues of the PSD matrix X* X to
-    the power r, avoiding an intermediate square root.
-    """
-    return power_batch(A, S, T, power, tolerance).result()
-
-
 def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Norm convexity transfer for PSD pairs: the r-th power of the average
+    is dominated in norm by the average of the r-th powers."""
     r = _as_power(power)
     mat_m = as_matrices(M, "M")
     power_m = psd_power(mat_m, r, "M")
@@ -298,12 +262,6 @@ def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> Chain
     lhs = operator_norm(psd_power(0.5 * (mat_m + mat_n), r, "(M+N)/2"))
     rhs = 0.5 * operator_norm(power_m + power_n)
     return chain_batch(f"bourin_r{_power_tag(r)}", [("power_of_average", lhs), ("average_of_powers", rhs)], tolerance)
-
-
-def bourin_property(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Norm convexity transfer for PSD pairs: the r-th power of the average
-    is dominated in norm by the average of the r-th powers."""
-    return bourin_batch(M, N, power, tolerance).result()
 
 
 def contraction_builder(A) -> np.ndarray:
@@ -319,6 +277,15 @@ def contraction_builder(A) -> np.ndarray:
 
 
 def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Refinement chain between omega(T) and ||T||.
+
+    With T = U |T| and R = |T|^{1/2}, the numerical radius of the half-rotated
+    factor U R interpolates:
+
+    omega(T) <= (||T|| + ||T||^{1/2} omega(UR))/2
+            <= (||T|| + ||T||^{1/2} ||UR||)/2
+            <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||.
+    """
     mat = as_matrices(T, "T")
     polar = polar_decompose(mat)
     radius_t, radius_ur = _radius_pair(mat, polar.unitary @ psd_sqrt(polar.modulus, "|T|"))
@@ -334,14 +301,16 @@ def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) ->
     return chain_batch("final_omega_refinement", terms, tolerance, radii=(radius_t, radius_ur))
 
 
-def final_omega_refinement_chain(T, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Refinement chain between omega(T) and ||T||.
-
-    With T = U |T| and R = |T|^{1/2}, the numerical radius of the half-rotated
-    factor U R interpolates:
-
-    omega(T) <= (||T|| + ||T||^{1/2} omega(UR))/2
-            <= (||T|| + ||T||^{1/2} ||UR||)/2
-            <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||.
-    """
-    return final_omega_refinement_batch(T, tolerance).result()
+lemma_2A_chain = one_trial(lemma_2A_batch)
+theorem_gap_chain = one_trial(theorem_gap_batch)
+corollary33_chain = one_trial(corollary33_batch)
+corollary35_chain = one_trial(corollary35_batch)
+remark36_scaled = one_trial(remark36_scaled_batch)
+remark36_scaled_unchecked = one_trial(remark36_unchecked_batch)
+remark36_polar_chain = one_trial(remark36_polar_batch)
+corollary37_chain = one_trial(corollary37_batch)
+corollary38_omega_chain = one_trial(corollary38_omega_batch)
+corollary38_norm_chain = one_trial(corollary38_norm_batch)
+power_chain = one_trial(power_batch)
+bourin_property = one_trial(bourin_batch)
+final_omega_refinement_chain = one_trial(final_omega_refinement_batch)

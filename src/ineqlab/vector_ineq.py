@@ -1,13 +1,12 @@
 """Inner-product inequality chains on vectors, over a leading trial axis.
 
-Each chain is one kernel, ``<chain>_batch``, whose inputs carry one row per
-trial and whose terms are arrays over that axis; the public chain validates
-one trial's inputs and runs the kernel on a batch of one.  The kernels use
-only per-row or elementwise operations that round as the one-trial Python
-arithmetic did, so no row depends on the batch around it.
-
-The psi-infimum witness evaluates phi only at the three grid phases around
--arg<x, y>, where the grid minimum lies, so its cost does not depend on grid.
+Each chain is one kernel, ``<chain>_batch``, that takes stacks only, one row
+per trial, and returns its terms as arrays over that axis.  It names how one
+trial's vectors are checked and given that axis; its public chain, built at
+the end of the module by :func:`~ineqlab.chains.one_trial`, is the kernel on
+a batch of one.  The kernels use only per-row or elementwise operations that
+round as the one-trial Python arithmetic did, so no row depends on the batch
+around it.
 
 Angle-based checks reject zero vectors (the angle is undefined);
 product-based chains accept them, since every term is still well defined.
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import AngleResult, ChainBatch, ChainResult, ToleranceConfig, chain_batch
+from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, one_trial, trial_inputs
 from .errors import InvalidInput
 from .linalg import (
     as_square_matrix,
@@ -40,6 +39,17 @@ def _rows(*pairs) -> list[np.ndarray]:
     return [vec[None, :] for _, vec in coerced]
 
 
+# One trial's inputs of a kernel, for chains.trial_inputs: its vectors as
+# batches of one, the other arguments as given.
+def _xy(x, y, *args, **kwargs):
+    return (*_rows(("x", x), ("y", y)), *args), kwargs
+
+
+def _xyz(x, y, z, *args, **kwargs):
+    return (*_rows(("x", x), ("y", y), ("z", z)), *args), kwargs
+
+
+@np.errstate(invalid="ignore")  # a non-finite row divides to NaN; its chain raises InvalidInput
 def _units(*pairs) -> list[np.ndarray]:
     """Named (trials, dim) vectors scaled to unit norm per row.  A zero row
     raises for the first trial that has one, naming its first zero input."""
@@ -99,7 +109,21 @@ def angles(x, y) -> AngleResult:
     )
 
 
+@trial_inputs(_xy)
 def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """psi as the phase infimum of phi, witnessed on a uniform phase grid.
+
+    The chain sandwiches the grid minimum of phi(e^{i theta} x, y) between
+    psi and psi + pi/grid: psi is a true lower bound for every phase, and the
+    grid places some phase within pi/grid of the optimal one.
+
+    phi(e^{i theta} x, y) falls as Re(e^{i theta} <x, y>) rises, so the grid
+    minimum lies at the grid phase nearest -arg<x, y> or at a neighbour of
+    it.  Only those three phases are evaluated, each with the full grid's
+    rounding, so the cost does not depend on ``grid``.  When <x, y> is at
+    rounding level, phi is flat to a few ulps over the whole grid, and the
+    three-phase minimum can sit a few ulps above the full-grid one.
+    """
     if grid < 8:
         raise InvalidInput(f"grid must be at least 8, got {grid}")
     u, w = _units(("x", x), ("y", y))
@@ -119,51 +143,16 @@ def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None =
     return chain_batch("psi_infimum", terms, tolerance)
 
 
-def psi_infimum_property(x, y, grid: int = 360, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """psi as the phase infimum of phi, witnessed on a uniform phase grid.
-
-    The chain sandwiches the grid minimum of phi(e^{i theta} x, y) between
-    psi and psi + pi/grid: psi is a true lower bound for every phase, and the
-    grid places some phase within pi/grid of the optimal one.
-
-    phi(e^{i theta} x, y) falls as Re(e^{i theta} <x, y>) rises, so the grid
-    minimum lies at the grid phase nearest -arg<x, y> or at a neighbour of
-    it.  Only those three phases are evaluated, each with the full grid's
-    rounding, so the cost does not depend on ``grid``.  When <x, y> is at
-    rounding level, phi is flat to a few ulps over the whole grid, and the
-    three-phase minimum can sit a few ulps above the full-grid one.
-    """
-    return psi_infimum_batch(*_rows(("x", x), ("y", y)), grid=grid, tolerance=tolerance).result()
-
-
+@trial_inputs(_xyz)
 def krein_triangle_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Triangle inequality for the real-part angle phi."""
     ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
     terms = [("phi_xz", _unit_angle(ux, uz)), ("phi_xy_plus_phi_yz", _unit_angle(ux, uy) + _unit_angle(uy, uz))]
     return chain_batch("krein_triangle", terms, tolerance)
 
 
-def krein_triangle(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Triangle inequality for the real-part angle phi."""
-    return krein_triangle_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
-
-
+@trial_inputs(_xyz)
 def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
-    ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
-    p_xy = _psi_of_units(ux, uy)
-    p_xz = _psi_of_units(ux, uz)
-    p_zy = _psi_of_units(uz, uy)
-    # 1 - g = vers(p_xy) + min of the two sign resolutions of
-    # sin(p_xz) sin(p_zy) -+ (cos(p_xy) - cos(p_xz) cos(p_zy)), each a
-    # product-to-sum difference of cosines.
-    near = np.sin(0.5 * (p_xy + p_xz - p_zy)) * np.sin(0.5 * (p_xy - p_xz + p_zy))
-    far = np.sin(0.5 * (p_xy + p_xz + p_zy)) * np.sin(0.5 * (p_xz + p_zy - p_xy))
-    one_minus_g = 2.0 * _sq(np.sin(0.5 * p_xy)) + 2.0 * np.minimum(near, far)
-    middle = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(one_minus_g, 0.0) / 2.0)))
-    terms = [("psi_xy", p_xy), ("refined_bound", middle), ("psi_xz_plus_psi_zy", p_xz + p_zy)]
-    return chain_batch("lin_triangle_refined", terms, tolerance)
-
-
-def lin_triangle_refined(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
     """Triangle inequality for psi with an interpolating refinement term.
 
     The middle term tightens cos(psi_xz + psi_zy) by replacing the product
@@ -182,20 +171,29 @@ def lin_triangle_refined(x, y, z, tolerance: ToleranceConfig | None = None) -> C
     so degenerate (collinear) triples come out exact instead of picking up
     sqrt(epsilon)-sized angles.
     """
-    return lin_triangle_refined_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+    ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
+    p_xy = _psi_of_units(ux, uy)
+    p_xz = _psi_of_units(ux, uz)
+    p_zy = _psi_of_units(uz, uy)
+    # 1 - g = vers(p_xy) + min of the two sign resolutions of
+    # sin(p_xz) sin(p_zy) -+ (cos(p_xy) - cos(p_xz) cos(p_zy)), each a
+    # product-to-sum difference of cosines.
+    near = np.sin(0.5 * (p_xy + p_xz - p_zy)) * np.sin(0.5 * (p_xy - p_xz + p_zy))
+    far = np.sin(0.5 * (p_xy + p_xz + p_zy)) * np.sin(0.5 * (p_xz + p_zy - p_xy))
+    one_minus_g = 2.0 * _sq(np.sin(0.5 * p_xy)) + 2.0 * np.minimum(near, far)
+    middle = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(one_minus_g, 0.0) / 2.0)))
+    terms = [("psi_xy", p_xy), ("refined_bound", middle), ("psi_xz_plus_psi_zy", p_xz + p_zy)]
+    return chain_batch("lin_triangle_refined", terms, tolerance)
 
 
+@trial_inputs(_xyz)
 def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
     pair = modulus(inner(x, z)) * modulus(inner(y, z))
     bound = 0.5 * _sq(nz) * (modulus(inner(x, y)) + nx * ny)
     terms = [("inner_product_pair", pair), ("buzano_bound", bound), ("cauchy_schwarz_twice", _sq(nz) * nx * ny)]
     return chain_batch("buzano", terms, tolerance)
-
-
-def buzano_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
-    return buzano_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
 
 
 def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
@@ -205,7 +203,14 @@ def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
     return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(modulus(i_yz)), 0.0))
 
 
+@trial_inputs(_xyz)
 def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Four-step chain from a product of inner products up to the Buzano bound.
+
+    The two middle terms interpolate: first by the triangle inequality on
+    <x,y>||z||^2 - <x,z><z,y>, then by bounding that deviation with the
+    Cauchy-Schwarz defect radicals.
+    """
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
     i_xz, i_zy, i_yz, i_xy = inner(x, z), inner(z, y), inner(y, z), inner(x, y)
     pair_mod = modulus(_mul(i_xz, i_yz))
@@ -217,17 +222,9 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     return chain_batch("lemma21", terms, tolerance)
 
 
-def lemma21_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Four-step chain from a product of inner products up to the Buzano bound.
-
-    The two middle terms interpolate: first by the triangle inequality on
-    <x,y>||z||^2 - <x,z><z,y>, then by bounding that deviation with the
-    Cauchy-Schwarz defect radicals.
-    """
-    return lemma21_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
-
-
+@trial_inputs(_xyz)
 def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Cauchy-Schwarz with an intermediate bound through a third vector."""
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
     i_xz, i_zy, i_yz = inner(x, z), inner(z, y), inner(y, z)
     split = modulus(i_xz) * modulus(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
@@ -235,22 +232,27 @@ def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> Ch
     return chain_batch("cs_refinement", terms + [("cauchy_schwarz", _sq(nz) * nx * ny)], tolerance)
 
 
-def cs_refinement_chain(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Cauchy-Schwarz with an intermediate bound through a third vector."""
-    return cs_refinement_batch(*_rows(("x", x), ("y", y), ("z", z)), tolerance).result()
+def _pxy(projection, x, y, *args, **kwargs):
+    proj = as_square_matrix(projection, "P")
+    xv, yv = _rows(("x", x), ("y", y))
+    require_operator_on(proj, xv[0], "P", "x")
+    return (proj[None], xv, yv, *args), kwargs
 
 
+@trial_inputs(_pxy)
 def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+    """Buzano-type bound for an orthogonal projection applied inside the
+    inner product; the projection precondition is enforced."""
     require_orthogonal_projection(projection, name="P")
     lhs = modulus(inner(matvec(projection, x), y))
     rhs = 0.5 * (modulus(inner(x, y)) + row_norms(x) * row_norms(y))
     return chain_batch("projection_buzano", [("projected_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 
-def projection_buzano(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainResult:
-    """Buzano-type bound for an orthogonal projection applied inside the
-    inner product; the projection precondition is enforced."""
-    proj = as_square_matrix(projection, "P")
-    xv, yv = _rows(("x", x), ("y", y))
-    require_operator_on(proj, xv[0], "P", "x")
-    return projection_buzano_batch(proj[None], xv, yv, tolerance).result()
+psi_infimum_property = one_trial(psi_infimum_batch)
+krein_triangle = one_trial(krein_triangle_batch)
+lin_triangle_refined = one_trial(lin_triangle_refined_batch)
+buzano_chain = one_trial(buzano_batch)
+lemma21_chain = one_trial(lemma21_batch)
+cs_refinement_chain = one_trial(cs_refinement_batch)
+projection_buzano = one_trial(projection_buzano_batch)

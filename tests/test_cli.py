@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ineqlab.chains import make_chain
+from ineqlab.chains import chain_batch
 from ineqlab.cli import main
 from ineqlab.harness import REGISTRY, SuiteSpec
 from ineqlab.linalg import matrix_to_json_dict, vector_to_json_dict
@@ -31,8 +31,8 @@ def failing_suite():
     spec = SuiteSpec(
         "always_fails",
         ("ginibre",),
-        lambda a, tolerance: make_chain(
-            "always_fails", [("upper", 1.0), ("lower", 0.0)], tolerance
+        lambda a, tolerance: chain_batch(
+            "always_fails", [("upper", np.ones(len(a))), ("lower", np.zeros(len(a)))], tolerance
         ),
         default_dim=2,
         default_trials=3,

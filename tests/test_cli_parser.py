@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from ineqlab.chains import make_chain
+from ineqlab.chains import chain_batch
 from ineqlab.cli import _build_parser, main
 from ineqlab.harness import REGISTRY, SuiteSpec
 from ineqlab.linalg import vector_to_json_dict
@@ -44,7 +44,9 @@ def test_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
     spec = SuiteSpec(
         "always_fails",
         ("ginibre",),
-        lambda a, tolerance: make_chain("always_fails", [("upper", 1.0), ("lower", 0.0)], tolerance),
+        lambda a, tolerance: chain_batch(
+            "always_fails", [("upper", np.ones(len(a))), ("lower", np.zeros(len(a)))], tolerance
+        ),
         default_dim=2,
         default_trials=3,
     )

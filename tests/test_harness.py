@@ -6,8 +6,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from ineqlab import errors, harness
-from ineqlab.chains import ToleranceConfig, make_chain
+from ineqlab import errors, harness, operator_ineq, vector_ineq
+from ineqlab.chains import ToleranceConfig, chain_batch, one_trial
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.harness import (
     REGISTRY,
@@ -58,8 +58,8 @@ def failing_suite():
     spec = SuiteSpec(
         "always_fails",
         ("ginibre",),
-        lambda a, tolerance: make_chain(
-            "always_fails", [("upper", 1.0), ("lower", 0.0)], tolerance
+        lambda a, tolerance: chain_batch(
+            "always_fails", [("upper", np.ones(len(a))), ("lower", np.zeros(len(a)))], tolerance
         ),
         default_dim=2,
         default_trials=3,
@@ -123,14 +123,14 @@ def test_parallel_matches_serial():
     assert a == b
 
 
-BATCHED_SUITES = [name for name, spec in REGISTRY.items() if spec.batch is not None]
+BATCHED_SUITES = [name for name, spec in REGISTRY.items() if spec.suite_inputs is None]
 
 
 def one_trial_slacks(name, ensemble):
     """Min slack of every trial, each drawn and evaluated on its own."""
     spec = REGISTRY[name]
     return np.array([
-        spec.evaluate(trial_stream(ensemble, t), ensemble.dim, ToleranceConfig()).min_slack
+        spec.evaluate(trial_stream(ensemble, np.array([t])), ensemble.dim, ToleranceConfig()).result().min_slack
         for t in range(ensemble.trials)
     ])
 
@@ -191,7 +191,7 @@ def test_batched_suite_raises_the_first_failing_trials_error(name, monkeypatch):
     monkeypatch.setattr(harness, "draw", breaking_draw)
     with pytest.raises(errors.IneqLabError) as serial:
         for t in range(ensemble.trials):
-            spec.evaluate(trial_stream(ensemble, t), ensemble.dim, ToleranceConfig())
+            spec.evaluate(trial_stream(ensemble, np.array([t])), ensemble.dim, ToleranceConfig())
     for chunk in (4, 128):
         monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
         with pytest.raises(errors.IneqLabError) as batched:
@@ -467,6 +467,18 @@ def write_inputs(tmp_path, prefix, inputs):
     return paths
 
 
+def test_public_chains_are_the_one_trial_chains_of_registry_kernels():
+    # A public chain, check mode and the runner's row-by-row retry share one
+    # function per kernel.
+    kernels = {spec.kernel for spec in REGISTRY.values()}
+    public = [
+        value for module in (vector_ineq, operator_ineq) for name, value in vars(module).items()
+        if not name.startswith("_") and getattr(value, "__wrapped__", None) in kernels
+    ]
+    assert len(public) == 20
+    assert all(one_trial(chain.__wrapped__) is chain for chain in public)
+
+
 @pytest.mark.parametrize("name", suite_names())
 def test_check_single_replays_suite_trials(tmp_path, name):
     """Check mode on a trial's own inputs gives that trial's chain bit for bit."""
@@ -475,7 +487,7 @@ def test_check_single_replays_suite_trials(tmp_path, name):
     for dim in (2, 4):
         ensemble = EnsembleConfig(spec.family, dim, derive_entry_seed(name, dim), 3)
         for trial in range(ensemble.trials):
-            suite = spec.evaluate(trial_stream(ensemble, trial), dim, tol)
+            suite = spec.evaluate(trial_stream(ensemble, np.array([trial])), dim, tol).result()
             if spec.suite_inputs is not None:
                 inputs = spec.suite_inputs
             else:

@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ineqlab.chains import ToleranceConfig  # noqa: E402
+from ineqlab.chains import ToleranceConfig, one_trial  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
 from ineqlab.errors import IneqLabError  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
@@ -132,9 +132,9 @@ def _outcome(chain, *args, **kwargs):
 @hypothesis.given(data=st.data())
 def test_omega_kernel_rows_equal_one_trial_chain(name, data):
     spec, inputs, kwargs = _suite_inputs(name, data)
-    batch = spec.batch(*inputs, tolerance=ToleranceConfig(), **kwargs(slice(None)))
+    batch = spec.kernel(*inputs, tolerance=ToleranceConfig(), **kwargs(slice(None)))
     for t in range(len(inputs[0])):
-        row = spec.chain(*[block[t] for block in inputs], tolerance=ToleranceConfig(), **kwargs(t))
+        row = one_trial(spec.kernel)(*[block[t] for block in inputs], tolerance=ToleranceConfig(), **kwargs(t))
         assert batch.result(t) == row
         assert _bits(batch.values[t]) == _bits(row.values)
         assert _bits(batch.slacks[t]) == _bits(row.slacks)
@@ -151,15 +151,15 @@ def test_omega_kernel_raises_the_first_uncertified_trials_error(name, data):
     spec, inputs, kwargs = _suite_inputs(name, data)
     tight = ToleranceConfig(eps_rel_omega=1e-17)
     rows = [
-        _outcome(spec.chain, *[block[t] for block in inputs], tolerance=tight, **kwargs(t))
+        _outcome(one_trial(spec.kernel), *[block[t] for block in inputs], tolerance=tight, **kwargs(t))
         for t in range(len(inputs[0]))
     ]
     failures = [row for row in rows if isinstance(row, tuple)]
     if not failures:
-        assert spec.batch(*inputs, tolerance=tight, **kwargs(slice(None))).passed.all()
+        assert spec.kernel(*inputs, tolerance=tight, **kwargs(slice(None))).passed.all()
         return
     error, message = failures[0]
     assert error.__name__ == "ConvergenceError"
     with pytest.raises(error) as raised:
-        spec.batch(*inputs, tolerance=tight, **kwargs(slice(None)))
+        spec.kernel(*inputs, tolerance=tight, **kwargs(slice(None)))
     assert str(raised.value) == message

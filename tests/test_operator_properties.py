@@ -9,8 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from ineqlab.chains import ToleranceConfig, one_trial  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
-from ineqlab.errors import DimensionMismatch, IneqLabError  # noqa: E402
+from ineqlab.errors import DimensionMismatch, IneqLabError, InvalidInput  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
 
 KERNEL_SUITES = [
@@ -111,15 +112,30 @@ REFERENCE = {
 
 
 def test_kernel_suites_are_the_batched_operator_rows():
-    assert all(REGISTRY[name].batch is not None for name in KERNEL_SUITES)
+    kernels = [REGISTRY[name].kernel for name in KERNEL_SUITES]
+    assert all(k.__module__ == "ineqlab.operator_ineq" and k.__name__.endswith("_batch") for k in kernels)
 
 
-@pytest.mark.parametrize("name", ["corollary38_norm", "bourin_r2"])
+# What each row's one-trial chain raises on a two-trial stack of its inputs:
+# a vector chain and the counterexample reject the stacked input itself, and
+# every other chain evaluates the stack and rejects the second row.
+_STACK_ERRORS = {
+    **{name: "x: expected a 1-D array, got shape (2, 3)" for name in (
+        "buzano", "lemma21", "cs_refinement", "krein_triangle", "lin_triangle_refined", "psi_infimum")},
+    "projection_buzano": "P: expected a 2-D array, got shape (2, 3, 3)",
+    "remark36_counterexample": "A: expected a 2-D array, got shape (2, 3, 3)",
+}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
 def test_one_trial_chain_rejects_a_stack(name):
     spec = REGISTRY[name]
     stream = trial_stream(EnsembleConfig(spec.family, 3, 5, 2), np.arange(2))
-    with pytest.raises(IneqLabError, match="expected one trial's inputs, got a stack of 2"):
-        spec.chain(*[draw(family, stream, 3) for family in spec.draws], **spec.kwargs)
+    inputs = spec.arranged([draw(family, stream, 3) for family in spec.draws])
+    message = _STACK_ERRORS.get(name, f"{name}: expected one trial's inputs, got a stack of 2")
+    with pytest.raises(InvalidInput) as raised:
+        one_trial(spec.kernel)(*inputs, tolerance=ToleranceConfig(), **spec.kwargs)
+    assert (type(raised.value), str(raised.value)) == (InvalidInput, message)
 
 
 def _outcome(chain, *args, **kwargs):
@@ -146,15 +162,15 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
         row, position, kind = fault
         drawn[position][row] = FAULTS[kind](drawn[position][row])
     inputs = spec.arranged(drawn)
-    rows = [_outcome(spec.chain, *[block[t] for block in inputs], **spec.kwargs) for t in range(trials)]
+    rows = [_outcome(one_trial(spec.kernel), *[block[t] for block in inputs], **spec.kwargs) for t in range(trials)]
     failures = [row for row in rows if isinstance(row, tuple)]
     if failures:
         error, message = failures[0]
         with pytest.raises(error) as raised:
-            spec.batch(*inputs, **spec.kwargs)
+            spec.kernel(*inputs, **spec.kwargs)
         assert str(raised.value) == message
         return
-    batch = spec.batch(*inputs, **spec.kwargs)
+    batch = spec.kernel(*inputs, **spec.kwargs)
     assert batch.values.shape == (trials, len(rows[0].terms))
     for t, row in enumerate(rows):
         assert batch.result(t) == row
@@ -181,10 +197,10 @@ def test_kernel_raises_the_first_failing_rows_error(name, kind, error):
     drawn[0][1] = FAULTS[kind](drawn[0][1])
     drawn[0][3] = FAULTS[kind](FAULTS[kind](drawn[0][3]))
     inputs = spec.arranged(drawn)
-    expected = _outcome(spec.chain, *[block[1] for block in inputs], **spec.kwargs)
+    expected = _outcome(one_trial(spec.kernel), *[block[1] for block in inputs], **spec.kwargs)
     assert expected[0].__name__ == error
     with pytest.raises(expected[0]) as raised:
-        spec.batch(*inputs, **spec.kwargs)
+        spec.kernel(*inputs, **spec.kwargs)
     assert str(raised.value) == expected[1]
 
 
@@ -197,4 +213,4 @@ def test_kernel_rejects_inputs_with_unequal_trial_counts(name):
     for position in range(len(inputs)):
         short = [block[:1] if i == position else block for i, block in enumerate(inputs)]
         with pytest.raises(DimensionMismatch, match="has shape"):
-            spec.batch(*short, **spec.kwargs)
+            spec.kernel(*short, **spec.kwargs)

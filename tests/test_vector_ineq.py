@@ -12,8 +12,10 @@ from ineqlab.vector_ineq import (
     buzano_chain,
     cs_refinement_chain,
     krein_triangle,
+    krein_triangle_batch,
     lemma21_chain,
     lin_triangle_refined,
+    lin_triangle_refined_batch,
     projection_buzano,
     psi_infimum_batch,
     psi_infimum_property,
@@ -204,19 +206,34 @@ def test_psi_infimum_cost_does_not_grow_with_grid():
     assert np.all((gap >= -1e-12) & (gap <= np.pi / grid + 1e-12))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, np.nan)])
-@pytest.mark.parametrize("side", [0, 1])
-def test_psi_infimum_non_finite_row_raises_without_new_warnings(bad, side):
+# Kernels that scale their inputs to unit rows, with the term that a bad
+# entry in x (side 0) or in y (side 1) first makes non-finite.  Test ids keep
+# the psi-only form, side-bad, for psi_infimum.
+_UNIT_KERNELS = [
+    ("", psi_infimum_batch, 2, {"grid": 3600}, ("psi", "psi")),
+    ("krein_triangle-", krein_triangle_batch, 3, {}, ("phi_xz", "phi_xy_plus_phi_yz")),
+    ("lin_triangle_refined-", lin_triangle_refined_batch, 3, {}, ("psi_xy", "psi_xy")),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, arity, kwargs, terms, side, bad",
+    [
+        pytest.param(kernel, arity, kwargs, terms, side, bad, id=f"{prefix}{side}-{bad}")
+        for prefix, kernel, arity, kwargs, terms in _UNIT_KERNELS
+        for side in (0, 1)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, np.nan))
+    ],
+)
+def test_psi_infimum_non_finite_row_raises_without_new_warnings(kernel, arity, kwargs, terms, side, bad):
     rng = np.random.default_rng(5)
-    pair = [complex_rows(rng, 4, 3), complex_rows(rng, 4, 3)]
-    pair[side][2, 1] = bad
+    inputs = [complex_rows(rng, 4, 3) for _ in range(arity)]
+    inputs[side][2, 1] = bad
+    name = kernel.__name__.removesuffix("_batch")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # Scaling the row to unit norm already warns on the non-finite entry;
-        # any other warning, such as a cast of the phase index, is an error.
-        warnings.filterwarnings("ignore", "invalid value encountered in divide", RuntimeWarning)
-        with pytest.raises(errors.InvalidInput, match="psi_infimum: term 'psi' is not finite"):
-            psi_infimum_batch(*pair, grid=3600)
+        warnings.simplefilter("error")  # the typed error is the only signal
+        with pytest.raises(errors.InvalidInput, match=f"^{name}: term '{terms[side]}' is not finite$"):
+            kernel(*inputs, **kwargs)
 
 
 def test_psi_infimum_validates_grid():

@@ -18,18 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import row_norms
+from .linalg import adjoint, row_norms
 from .prng import Stream, derive_key
-
-FAMILIES = (
-    "ginibre",
-    "hermitian",
-    "psd",
-    "positive_contraction",
-    "projection",
-    "unitary",
-    "unit_vector",
-)
 
 MAX_DIM = 64
 
@@ -45,10 +35,7 @@ class EnsembleConfig:
     trials: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidInput(
-                f"unknown ensemble family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
+        _require_family(self.family)
         if not (1 <= self.dim <= MAX_DIM):
             raise InvalidInput(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
         if self.trials < 1:
@@ -74,14 +61,10 @@ def draw_ginibre(stream: Stream, dim: int) -> np.ndarray:
     return stream.complex_gaussians(dim * dim).reshape(-1, dim, dim)
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
 def draw_hermitian(stream: Stream, dim: int) -> np.ndarray:
     """Hermitian part of one Ginibre draw."""
     g = draw_ginibre(stream, dim)
-    return 0.5 * (g + _adjoint(g))
+    return 0.5 * (g + adjoint(g))
 
 
 def draw_psd(stream: Stream, dim: int) -> np.ndarray:
@@ -92,8 +75,8 @@ def draw_psd(stream: Stream, dim: int) -> np.ndarray:
     (0, 1], so the result is never the zero operator.
     """
     g = draw_ginibre(stream, dim)
-    w = _adjoint(g) @ g
-    w = 0.5 * (w + _adjoint(w))
+    w = adjoint(g) @ g
+    w = 0.5 * (w + adjoint(w))
     top = np.linalg.eigvalsh(w)[:, -1]
     scale = 2.0 * stream.uniforms_open(1).reshape(-1)
     return w * (scale / top)[:, None, None]
@@ -111,8 +94,8 @@ def draw_unitary(stream: Stream, dim: int) -> np.ndarray:
 
 def _spectral(v: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Symmetrized V diag(spectrum) V* of each trial."""
-    m = (v * spectrum.reshape(v.shape[0], 1, -1)) @ _adjoint(v)
-    return 0.5 * (m + _adjoint(m))
+    m = (v * spectrum.reshape(v.shape[0], 1, -1)) @ adjoint(v)
+    return 0.5 * (m + adjoint(m))
 
 
 def draw_positive_contraction(stream: Stream, dim: int) -> np.ndarray:
@@ -147,16 +130,18 @@ _BUILDERS = {
     "unitary": draw_unitary,
     "unit_vector": draw_unit_vector,
 }
+FAMILIES = tuple(_BUILDERS)
+
+
+def _require_family(family) -> None:
+    """Reject all but a family name (a tuple test, so unhashable values too)."""
+    if family not in FAMILIES:
+        raise InvalidInput(f"unknown ensemble family {family!r}; expected one of {', '.join(FAMILIES)}")
 
 
 def draw(family: str, stream: Stream, dim: int) -> np.ndarray:
     """Dispatch one draw of the named family on an existing stream: one array
     for a one-key stream, a stack with one row per key for a batched one."""
-    try:
-        builder = _BUILDERS[family]
-    except KeyError:
-        raise InvalidInput(
-            f"unknown ensemble family {family!r}; expected one of {', '.join(FAMILIES)}"
-        ) from None
-    drawn = builder(stream, dim)
+    _require_family(family)
+    drawn = _BUILDERS[family](stream, dim)
     return drawn if stream.batched else drawn[0]

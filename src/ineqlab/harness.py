@@ -36,7 +36,7 @@ from . import vector_ineq as vec_ineq
 from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, one_trial
 from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
-from .linalg import as_matrices, load_matrix, load_vector, read_json
+from .linalg import load_matrix, load_vector, read_json
 from .prng import Stream
 from .radius import numerical_radius, numerical_radius_sampling_oracle
 
@@ -128,10 +128,8 @@ class SuiteSpec:
 def _omega_oracle_batch(matrix, tolerance: ToleranceConfig, samples: int, seed) -> ChainBatch:
     """Cross-check chain: sampled max quadratic form <= omega <= norm, with
     one oracle seed per trial of a stack."""
-    mats = as_matrices(matrix)
-    stack = mats.reshape(-1, *mats.shape[-2:])
-    oracle = numerical_radius_sampling_oracle(stack, samples, seed)
-    radius = numerical_radius(stack)
+    oracle = numerical_radius_sampling_oracle(matrix, samples, seed)
+    radius = numerical_radius(matrix)
     terms = [("sampling_oracle_max", oracle), ("omega_sweep", radius.omega), ("operator_norm", radius.norm)]
     return chain_batch("omega_oracle", terms, tolerance, radii=(radius,))
 
@@ -323,15 +321,11 @@ def _parse_entry(entry) -> tuple[SuiteSpec, EnsembleConfig]:
         raise InvalidInput("must be an object")
     _reject_unknown(entry, ("suite", "family", "dim", "trials", "seed"))
     spec = _suite(entry.get("suite"), entry.get("family"))
-    dim = entry.get("dim", spec.default_dim)
-    trials = entry.get("trials", spec.default_trials)
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InvalidInput("dim must be an integer")
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise InvalidInput("trials must be an integer")
+    dim, trials = entry.get("dim", spec.default_dim), entry.get("trials", spec.default_trials)
     seed = entry.get("seed", derive_entry_seed(spec.name, dim))
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidInput("seed must be an integer")
+    for key, value in (("dim", dim), ("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInput(f"{key} must be an integer")
     family = entry.get("family", spec.family)  # an explicit null reaches EnsembleConfig and is rejected
     return spec, EnsembleConfig(family=family, dim=dim, master_seed=seed, trials=trials)
 

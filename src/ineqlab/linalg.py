@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -129,17 +130,27 @@ def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vnam
         raise DimensionMismatch(f"{mname} has shape {matrix.shape} but {vname} has shape {vector.shape}")
 
 
+def vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of one trial, or (trials, d) rows of them beside a stack of operators."""
+    coerce = as_vector if operator.ndim == 2 else partial(per_trial, as_vector)
+    xv, yv = coerce(x, "x"), coerce(y, "y")
+    require_same_length(("x", xv), ("y", yv))
+    require_operator_on(operator, xv, opname, "x")
+    return xv, yv
+
+
 # ---------------------------------------------------------------------------
 # Hermitian checks
 
 
-def _adjoint(matrix: np.ndarray) -> np.ndarray:
+def adjoint(matrix: np.ndarray) -> np.ndarray:
+    """M* of one matrix, or of each trial of a stack."""
     return matrix.conj().swapaxes(-1, -2)
 
 
 def hermitian_deviation(matrix: np.ndarray):
     """Largest entry of |M - M*|, per trial for a stack."""
-    return np.abs(matrix - _adjoint(matrix)).max(axis=(-2, -1))
+    return np.abs(matrix - adjoint(matrix)).max(axis=(-2, -1))
 
 
 def _first_failing(failed, *values) -> list | None:
@@ -179,7 +190,7 @@ def _symmetrized(matrix, name: str) -> np.ndarray:
     """(M + M*)/2 of a square M with max|M - M*| <= HERMITIAN_TOL."""
     mat = as_matrices(matrix, name)
     require_hermitian(mat, name)
-    return 0.5 * (mat + _adjoint(mat))
+    return 0.5 * (mat + adjoint(mat))
 
 
 def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
@@ -215,8 +226,8 @@ def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
     eig = hermitian_eigen(matrix, name)
     require_window(eig.eigenvalues, 0.0, np.inf, name, error=NotPositiveSemidefinite)
     powered = np.clip(eig.eigenvalues, 0.0, None) ** exponent
-    result = (eig.eigenvectors * powered[..., None, :]) @ _adjoint(eig.eigenvectors)
-    return 0.5 * (result + _adjoint(result))
+    result = (eig.eigenvectors * powered[..., None, :]) @ adjoint(eig.eigenvectors)
+    return 0.5 * (result + adjoint(result))
 
 
 def psd_sqrt(matrix, name: str = "matrix") -> np.ndarray:
@@ -233,8 +244,8 @@ def polar_decompose(matrix) -> PolarDecomposition:
     than anything canonical.
     """
     left, values, right_h = np.linalg.svd(as_matrices(matrix))
-    mod = (_adjoint(right_h) * values[..., None, :]) @ right_h
-    return PolarDecomposition(left @ right_h, 0.5 * (mod + _adjoint(mod)))
+    mod = (adjoint(right_h) * values[..., None, :]) @ right_h
+    return PolarDecomposition(left @ right_h, 0.5 * (mod + adjoint(mod)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +257,7 @@ def is_positive_contraction(matrix, tol: float = HERMITIAN_TOL) -> bool:
     mat = as_square_matrix(matrix)
     if hermitian_deviation(mat) > tol:
         return False
-    values = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    values = np.linalg.eigvalsh(0.5 * (mat + adjoint(mat)))
     return bool(values[0] >= -tol and values[-1] <= 1.0 + tol)
 
 
@@ -364,7 +375,7 @@ def matrix_from_json_dict(obj, name: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise InvalidInput(f"{name}: missing required key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in (rows, cols)):
         raise InvalidInput(f"{name}: rows/cols must be positive integers")
     try:
         re_part = np.asarray(obj["re"], dtype=np.float64)

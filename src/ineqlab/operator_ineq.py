@@ -15,30 +15,27 @@ the known counterexample can be reproduced as a genuine violation.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .chains import ChainBatch, ToleranceConfig, chain_batch, one_trial, trial_inputs
 from .errors import InvalidInput, ZeroOperator
 from .linalg import (
     HERMITIAN_TOL,
+    adjoint,
     as_matrices,
     as_square_matrix,
-    as_vector,
     inner,
     matvec,
     modulus,
     operator_norm,
-    per_trial,
     polar_decompose,
     psd_power,
     psd_sqrt,
-    require_operator_on,
     require_positive_semidefinite,
     require_same_length,
     require_spectrum,
     row_norms,
+    vector_pair,
 )
 from .radius import RadiusResult, numerical_radius
 
@@ -51,10 +48,6 @@ def _as_power(power) -> float:
     return r
 
 
-def _power_tag(r: float) -> str:
-    return f"{r:g}"
-
-
 def _require_positive_contraction(matrix, name: str = "A") -> np.ndarray:
     return require_spectrum(matrix, 0.0, 1.0, name, slack=HERMITIAN_TOL)
 
@@ -63,15 +56,6 @@ def _require_nonzero(matrix: np.ndarray, name: str = "A") -> np.ndarray:
     if not matrix.any(axis=(-2, -1)).all():
         raise ZeroOperator(f"{name}: the zero operator is excluded here")
     return matrix
-
-
-def _vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of one trial, or (trials, d) rows of them beside a stack of operators."""
-    coerce = as_vector if operator.ndim == 2 else partial(per_trial, as_vector)
-    xv, yv = coerce(x, "x"), coerce(y, "y")
-    require_same_length(("x", xv), ("y", yv))
-    require_operator_on(operator, xv, opname, "x")
-    return xv, yv
 
 
 def _quad_form(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -86,7 +70,7 @@ def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBa
     |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
     """
     sym = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
-    xv, yv = _vector_pair(x, y, sym, "A")
+    xv, yv = vector_pair(x, y, sym, "A")
     gap = 2.0 * sym - sym @ sym
     lhs = modulus(inner(xv - matvec(sym, xv), yv - matvec(sym, yv)))
     rhs = row_norms(xv) * row_norms(yv) - np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv))
@@ -97,7 +81,7 @@ def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> Chai
     """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
     A - A^2 is at most a quarter of the defect of the identity."""
     sym = _require_positive_contraction(A, "A")
-    xv, yv = _vector_pair(x, y, sym, "A")
+    xv, yv = vector_pair(x, y, sym, "A")
     gap = sym - sym @ sym
     middle = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv)) - modulus(inner(matvec(gap, xv), yv))
     cap = (row_norms(xv) * row_norms(yv) - modulus(inner(xv, yv))) / 4.0
@@ -113,7 +97,7 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
     """
     sym = _require_nonzero(require_positive_semidefinite(A, "A")) if scaled else _require_positive_contraction(A, "A")
     denom = operator_norm(sym) if scaled else 1.0
-    xv, yv = _vector_pair(x, y, sym, "A")
+    xv, yv = vector_pair(x, y, sym, "A")
     radical = np.sqrt(_quad_form(sym, xv) * _quad_form(sym, yv))
     lhs = modulus(inner(xv, yv)) + (radical - modulus(inner(matvec(sym, xv), yv))) / denom
     terms = [("refined_inner_product", lhs), ("norm_product", row_norms(xv) * row_norms(yv))]
@@ -123,7 +107,7 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
 def corollary35_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano-type bound for a positive contraction in the middle slot."""
     sym = _require_positive_contraction(A, "A")
-    xv, yv = _vector_pair(x, y, sym, "A")
+    xv, yv = vector_pair(x, y, sym, "A")
     lhs = modulus(inner(matvec(sym, xv), yv))
     rhs = 0.5 * (row_norms(xv) * row_norms(yv) + modulus(inner(xv, yv)))
     return chain_batch("corollary35", [("sandwiched_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
@@ -138,7 +122,7 @@ def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tup
 def remark36_scaled_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
     sym = _require_nonzero(require_positive_semidefinite(A, "A"))
-    xv, yv = _vector_pair(x, y, sym, "A")
+    xv, yv = vector_pair(x, y, sym, "A")
     return chain_batch("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
 
 
@@ -150,7 +134,7 @@ def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) 
     exists so that failure can be demonstrated and asserted on.
     """
     mat = as_matrices(A, "A")
-    xv, yv = _vector_pair(x, y, mat, "A")
+    xv, yv = vector_pair(x, y, mat, "A")
     return chain_batch("remark36_counterexample", _remark36_terms(mat, xv, yv), tolerance)
 
 
@@ -161,12 +145,12 @@ def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
     """
     mat = _require_nonzero(as_matrices(A, "A"))
-    xv, yv = _vector_pair(x, y, mat, "A")
+    xv, yv = vector_pair(x, y, mat, "A")
     polar = polar_decompose(mat)
     half_norm = 0.5 * operator_norm(mat)
     nx = row_norms(xv)
     u_on_x = modulus(inner(matvec(polar.unitary, xv), yv))
-    rotated = row_norms(matvec(polar.unitary.conj().swapaxes(-1, -2), yv))
+    rotated = row_norms(matvec(adjoint(polar.unitary), yv))
     terms = [
         ("operator_inner_product", modulus(inner(matvec(mat, xv), yv))),
         ("polar_split_bound", half_norm * (u_on_x + nx * rotated)),
@@ -216,7 +200,7 @@ def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -
     """
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
-    moduli = mat_t.conj().swapaxes(-1, -2) @ mat_t + mat_s @ mat_s.conj().swapaxes(-1, -2)
+    moduli = adjoint(mat_t) @ mat_t + mat_s @ adjoint(mat_s)
     bound = 0.25 * operator_norm(moduli) + 0.5 * radius_st.omega
     terms = [("omega_sandwich", radius_sat.omega), ("moduli_plus_half_omega", bound)]
     return chain_batch("corollary38_omega", terms, tolerance, radii=(radius_sat, radius_st))
@@ -241,13 +225,13 @@ def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     r = _as_power(power)
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
-    mod_t_2r = psd_power(mat_t.conj().swapaxes(-1, -2) @ mat_t, r, "T*T")
-    mod_s_adj_2r = psd_power(mat_s @ mat_s.conj().swapaxes(-1, -2), r, "SS*")
+    mod_t_2r = psd_power(adjoint(mat_t) @ mat_t, r, "T*T")
+    mod_s_adj_2r = psd_power(mat_s @ adjoint(mat_s), r, "SS*")
     # Python's float power, row by row: numpy's power rounds some rows differently.
     sat_r, st_r = (np.array([omega**r for omega in radius.omega.tolist()]) for radius in (radius_sat, radius_st))
     bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * st_r
     terms = [("omega_sandwich_power", sat_r), ("moduli_power_bound", bound)]
-    return chain_batch(f"power_r{_power_tag(r)}", terms, tolerance, radii=(radius_sat, radius_st))
+    return chain_batch(f"power_r{r:g}", terms, tolerance, radii=(radius_sat, radius_st))
 
 
 def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -261,7 +245,7 @@ def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> Chain
     require_same_length(("M", mat_m), ("N", mat_n))
     lhs = operator_norm(psd_power(0.5 * (mat_m + mat_n), r, "(M+N)/2"))
     rhs = 0.5 * operator_norm(power_m + power_n)
-    return chain_batch(f"bourin_r{_power_tag(r)}", [("power_of_average", lhs), ("average_of_powers", rhs)], tolerance)
+    return chain_batch(f"bourin_r{r:g}", [("power_of_average", lhs), ("average_of_powers", rhs)], tolerance)
 
 
 def contraction_builder(A) -> np.ndarray:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import as_matrices, inner, matvec, modulus, operator_norm, row_norms
+from .linalg import adjoint, as_matrices, inner, matvec, modulus, operator_norm, row_norms
 from .prng import Stream, mix64
 
 # Complex entries (trials x samples x n) per sampling-oracle step: small enough
@@ -91,7 +91,7 @@ class RadiusResult:
 
 
 def _hermitian_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    adj = matrix.conj().swapaxes(-1, -2)
+    adj = adjoint(matrix)
     h0 = 0.5 * (matrix + adj)
     k0 = 0.5j * (matrix - adj)
     return h0, k0
@@ -130,7 +130,7 @@ def _crossing_angles(matrices: np.ndarray, levels: np.ndarray, tol: float) -> np
             break
         b = np.conj(a)
         mat, level = matrices[todo], levels[todo, None, None]
-        adj = mat.conj().swapaxes(-1, -2)
+        adj = adjoint(mat)
         # (1 + b u)^2 Q(z) = lead u^2 + middle u + const, with lead = b^2 Q(1/b).
         lead = mat - (2.0 * level * b) * eye + (b * b) * adj
         middle = 2.0 * a * mat - (2.0 * level * (1.0 + abs(a) ** 2)) * eye + 2.0 * b * adj
@@ -145,16 +145,12 @@ def _crossing_angles(matrices: np.ndarray, levels: np.ndarray, tol: float) -> np
     return angles
 
 
-def _certified_upper(
-    matrices: np.ndarray, omegas: np.ndarray, norms: np.ndarray, deltas: tuple[float, ...]
-) -> np.ndarray:
-    """Per row, the lowest level omega (1 + delta) with no crossing, else ||T||."""
-    upper = norms.copy()
-    for delta in deltas:
-        levels = omegas * (1.0 + delta)
-        rows = np.flatnonzero((upper == norms) & (levels < norms))
-        certified = np.isnan(_crossing_angles(matrices[rows], levels[rows], _CERTIFY_TOL)).all(axis=1)
-        upper[rows[certified]] = levels[rows[certified]]
+def _certified_upper(matrices: np.ndarray, omegas: np.ndarray, norms: np.ndarray, delta: float) -> np.ndarray:
+    """Per row, the level omega (1 + delta) if it is below ||T|| with no crossing, else ||T||."""
+    upper, levels = norms.copy(), omegas * (1.0 + delta)
+    rows = np.flatnonzero(levels < norms)
+    certified = np.isnan(_crossing_angles(matrices[rows], levels[rows], _CERTIFY_TOL)).all(axis=1)
+    upper[rows[certified]] = levels[rows[certified]]
     return upper
 
 
@@ -183,7 +179,7 @@ def _polish(h0: np.ndarray, k0: np.ndarray, theta: np.ndarray, scale: np.ndarray
         best[rows[better]], best_theta[rows[better]] = values[better, -1], theta[rows[better]]
         best_top[rows[better]] = vectors[better, :, -1]
         # coupling[j] = v_j* H' v_1 with H' = -sin h0 + cos k0; a zero gap adds nothing to g''.
-        coupling = matvec(vectors.conj().swapaxes(-1, -2), matvec(cos * k0[rows] - sin * h0[rows], vectors[..., -1]))
+        coupling = matvec(adjoint(vectors), matvec(cos * k0[rows] - sin * h0[rows], vectors[..., -1]))
         gaps = values[:, -1:] - values[:, :-1]
         pull = np.divide(modulus(coupling[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps), where=gaps > 0.0)
         slope, curvature = coupling[:, -1].real, 2.0 * pull.sum(axis=1) - values[:, -1]
@@ -220,14 +216,14 @@ def numerical_radius(matrix) -> RadiusResult:
         omega[rows] = np.maximum(value, modulus(inner(matvec(stack[rows], top), top)))
         # The certificate is the globality test: a crossing above omega means
         # the polish stopped at a local maximum, so lift past it and polish again.
-        upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[:1])
+        upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[0])
         rows = rows[(upper[rows] == norm[rows]) & (omega[rows] * (1.0 + _CERTIFY_DELTAS[0]) < norm[rows])]
         if not rows.size:
             break
         start[rows] = _lift(stack[rows], h0[rows], k0[rows], omega[rows])
         rows = rows[~np.isnan(start[rows])]
     rows = np.flatnonzero(upper == norm)
-    upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[1:])
+    upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[1])
     fields = (omega, np.mod(angle, 2.0 * np.pi), witness, norm, upper)
     if mats.ndim == 3:
         return RadiusResult(*fields)

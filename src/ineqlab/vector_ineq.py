@@ -25,10 +25,10 @@ from .linalg import (
     matvec,
     modulus,
     require_nonzero_vector,
-    require_operator_on,
     require_orthogonal_projection,
     require_same_length,
     row_norms,
+    vector_pair,
 )
 
 
@@ -234,9 +234,8 @@ def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> Ch
 
 def _pxy(projection, x, y, *args, **kwargs):
     proj = as_square_matrix(projection, "P")
-    xv, yv = _rows(("x", x), ("y", y))
-    require_operator_on(proj, xv[0], "P", "x")
-    return (proj[None], xv, yv, *args), kwargs
+    xv, yv = vector_pair(x, y, proj, "P")
+    return (proj[None], xv[None], yv[None], *args), kwargs
 
 
 @trial_inputs(_pxy)

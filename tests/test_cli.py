@@ -198,6 +198,14 @@ def test_check_dimension_mismatch_exit(tmp_path):
         assert main(["check", name, "--in", *inputs]) == 3
 
 
+def test_check_of_finite_inputs_whose_products_overflow_exits_two(tmp_path, capsys):
+    a = matrix_file(tmp_path, "a.json", np.eye(2))
+    big = matrix_file(tmp_path, "big.json", 1e200 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", "corollary38_norm", "--in", a, big, big]) == 2
+    assert "contains NaN or infinite entries" in capsys.readouterr().err
+
+
 def test_check_usage_errors(tmp_path):
     x = vector_file(tmp_path, "x.json", [1.0, 0.0])
     assert main(["check", "buzano", "--in", x]) == 2

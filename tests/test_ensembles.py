@@ -118,6 +118,17 @@ def test_draw_rejects_unknown_family():
     }
 
 
+@pytest.mark.parametrize("family", (["psd"], "nope"))
+def test_draw_rejects_a_non_family_with_the_config_message(family):
+    stream = trial_stream(EnsembleConfig(family="ginibre", dim=2, master_seed=0, trials=1), 0)
+    with pytest.raises(InvalidInput) as from_config:
+        EnsembleConfig(family=family, dim=2, master_seed=0, trials=1)
+    with pytest.raises(InvalidInput) as from_draw:
+        draw(family, stream, 2)
+    assert str(from_draw.value) == str(from_config.value)
+    assert str(from_draw.value) == f"unknown ensemble family {family!r}; expected one of {', '.join(FAMILIES)}"
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("dim", (1, 2, 3, 16, 17, 64))
 def test_batched_draws_match_per_trial_draws(family, dim):

@@ -405,6 +405,20 @@ def test_json_rejects_malformed_documents():
         vector_from_json_dict({"rows": 2, "cols": 2, "re": [[1.0, 2.0], [3.0, 4.0]]})
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows": true, "cols": true, "re": [[2]], "im": [[0]]}',
+        '{"rows": true, "cols": true, "re": [[2]]}',
+        '{"rows": 1, "cols": true, "re": [[2]]}',
+    ],
+)
+def test_json_rejects_boolean_rows_and_cols(text):
+    with pytest.raises(errors.InvalidInput) as raised:
+        matrix_from_json_dict(json.loads(text), "m.json")
+    assert str(raised.value) == "m.json: rows/cols must be positive integers"
+
+
 def test_load_matrix_missing_file(tmp_path):
     with pytest.raises(errors.InvalidInput):
         load_matrix(str(tmp_path / "absent.json"))

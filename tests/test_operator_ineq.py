@@ -324,6 +324,31 @@ def test_contraction_builder_rejects_bad_spectrum():
         contraction_builder(SHIFT)
 
 
+BIG = 1e200 * np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "chain, inputs",
+    [
+        (corollary37_chain, (BIG, BIG)),
+        (corollary38_omega_chain, (np.eye(2), BIG, BIG)),
+        (corollary38_norm_chain, (np.eye(2), BIG, BIG)),
+        (lambda *m: power_chain(*m, power=2.0), (np.eye(2), BIG, BIG)),
+        (lambda *m: bourin_property(*m, power=2.0), (BIG, BIG)),
+        # |T| overflows only when its symmetrization (|T| + |T|*)/2 sums past the largest float.
+        (final_omega_refinement_chain, (1e308 * np.eye(2),)),
+    ],
+    ids=["corollary37", "corollary38_omega", "corollary38_norm", "power_r2", "bourin_r2", "final_omega_refinement"],
+)
+def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs):
+    # The finiteness check on each product a kernel builds is the guard here:
+    # without it the overflowed product reaches LAPACK, which can raise
+    # LinAlgError (SVD did not converge), or a term comes out non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(errors.InvalidInput, match="contains NaN or infinite entries"):
+            chain(*inputs)
+
+
 # ---------------------------------------------------------------------------
 # closing refinement
 

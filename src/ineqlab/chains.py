@@ -4,8 +4,11 @@ Every inequality checker in this package reduces to the same shape: an
 ordered list of real terms that is claimed to be nondecreasing.  The chain
 verdict lives here, in one function over a leading trial axis
 (:func:`chain_batch`), so that each checker only has to compute its terms.
-Each checker is one batch kernel; :func:`one_trial` derives its public
-one-trial chain, and :func:`make_chain` is the verdict's own.
+Each checker is one batch kernel, which takes one trial's inputs or a stack
+of them: an ndarray with a trial axis (2-D for a vector, 3-D for a matrix)
+is a stack, and any other value is one trial's input.  :func:`one_trial`
+derives its public one-trial chain, the kernel followed by a check that
+there was one trial, and :func:`make_chain` is the verdict's own.
 """
 
 from __future__ import annotations
@@ -146,29 +149,14 @@ def chain_batch(
     return ChainBatch(check_name, labels, values, slacks, passed, floor)
 
 
-def trial_inputs(convert: Callable) -> Callable:
-    """Kernel decorator for :func:`one_trial`: ``convert(*args, **kwargs)``
-    checks one trial's inputs and returns the kernel's ``(args, kwargs)`` on
-    a batch of one.  Kernels that take one trial's inputs as they are need none."""
-
-    def mark(kernel):
-        kernel.trial_inputs = convert
-        return kernel
-
-    return mark
-
-
 @functools.cache
 def one_trial(kernel: Callable[..., ChainBatch]) -> Callable[..., ChainResult]:
     """The one-trial chain of a batch kernel: the kernel on one trial's
     inputs, then :meth:`ChainBatch.result`, which rejects a stack.  It keeps
     the kernel's module, name and docstring, and is built once per kernel."""
-    convert = getattr(kernel, "trial_inputs", None)
 
     @functools.wraps(kernel)
     def chain(*args, **kwargs) -> ChainResult:
-        if convert is not None:
-            args, kwargs = convert(*args, **kwargs)
         return kernel(*args, **kwargs).result()
 
     return chain

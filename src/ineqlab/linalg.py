@@ -23,7 +23,9 @@ checked, and :func:`psd_power` applies it to the eigenvalues it factors.
 
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial: each row is tested and rounded as on its own,
-and a failing stack raises its first failing trial's own error.
+and a failing stack raises its first failing trial's own error.  Vectors
+follow the same rule (:func:`vector_rows`): a 2-D ndarray is a ``(trials,
+d)`` stack, and any other value is one vector.
 """
 
 from __future__ import annotations
@@ -93,8 +95,14 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
 
 def per_trial(coerce, value, name: str) -> np.ndarray:
     """A stack over a leading trial axis, each trial checked by ``coerce``; the first failing one raises."""
-    stack = np.asarray(value, dtype=np.complex128)
-    bad = np.flatnonzero(~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1))
+    try:
+        stack = np.asarray(value, dtype=np.complex128)
+        trials = len(stack)
+    except (TypeError, ValueError):  # not numeric, or a scalar: coerce raises its one-input message
+        return coerce(value, name)
+    if not trials:
+        raise InvalidInput(f"{name}: empty stack, no trials")
+    bad = np.flatnonzero(~np.isfinite(stack.reshape(trials, -1)).all(axis=1))
     coerce(stack[bad[0] if bad.size else 0], name)
     return stack
 
@@ -103,6 +111,19 @@ def as_matrices(value, name: str = "matrix", coerce=as_square_matrix) -> np.ndar
     """``coerce`` (square by default) of one matrix, or of each of a (trials, m, n) stack."""
     stacked = isinstance(value, np.ndarray) and value.ndim == 3
     return per_trial(coerce, value, name) if stacked else coerce(value, name)
+
+
+def vector_rows(*pairs) -> list[np.ndarray]:
+    """The named vectors of ``(name, value)`` pairs as (trials, d) rows of one shape.
+
+    A 2-D ndarray is a stack, one row per trial, and goes in as is; any other
+    value is one trial's vector, checked by :func:`as_vector` (so a nested-list
+    column is flattened) and given the trial axis.
+    """
+    rows = [(name, value if isinstance(value, np.ndarray) and value.ndim == 2 else as_vector(value, name)[None])
+            for name, value in pairs]
+    require_same_length(*rows)
+    return [vec for _, vec in rows]
 
 
 def require_same_length(*pairs) -> None:

@@ -3,27 +3,28 @@ numerical-radius product bounds, spectral power bounds, and the closing
 refinement of omega(T) <= ||T||.
 
 Each chain is one kernel, ``<chain>_batch``, on one trial's inputs or on a
-stack of them over a leading trial axis; its public chain, built at the end
-of the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one
-trial's inputs.  The two numerical radii of a trial go into one stacked
-:func:`~ineqlab.radius.numerical_radius` call.  Every kernel validates the
-hypotheses it relies on and raises a typed error when they fail; a stack
-raises the error of its first failing trial.  The one deliberate exception,
-:func:`remark36_unchecked_batch`, skips the positivity hypothesis so that
-the known counterexample can be reproduced as a genuine violation.
+stack of them over a leading trial axis: a 3-D ndarray operator is a stack,
+and the vectors beside it are then (trials, d) rows.  Its public chain,
+built at the end of the module by :func:`~ineqlab.chains.one_trial`, is the
+kernel on one trial's inputs.  The two numerical radii of a trial go into
+one stacked :func:`~ineqlab.radius.numerical_radius` call.  Every kernel
+validates the hypotheses it relies on and raises a typed error when they
+fail; a stack raises the error of its first failing trial.  The one
+deliberate exception, :func:`remark36_unchecked_batch`, skips the positivity
+hypothesis so that the known counterexample can be reproduced as a genuine
+violation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chains import ChainBatch, ToleranceConfig, chain_batch, one_trial, trial_inputs
+from .chains import ChainBatch, ToleranceConfig, chain_batch, one_trial
 from .errors import InvalidInput, ZeroOperator
 from .linalg import (
     HERMITIAN_TOL,
     adjoint,
     as_matrices,
-    as_square_matrix,
     inner,
     matvec,
     modulus,
@@ -126,7 +127,6 @@ def remark36_scaled_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> 
     return chain_batch("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
 
 
-@trial_inputs(lambda A, *args, **kwargs: ((as_square_matrix(A, "A"), *args), kwargs))  # one trial: one matrix
 def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Same expression as :func:`remark36_scaled` with no positivity check.
 

@@ -1,10 +1,11 @@
 """Inner-product inequality chains on vectors, over a leading trial axis.
 
-Each chain is one kernel, ``<chain>_batch``, that takes stacks only, one row
-per trial, and returns its terms as arrays over that axis.  It names how one
-trial's vectors are checked and given that axis; its public chain, built at
-the end of the module by :func:`~ineqlab.chains.one_trial`, is the kernel on
-a batch of one.  The kernels use only per-row or elementwise operations that
+Each chain is one kernel, ``<chain>_batch``, that returns its terms as
+arrays over the trial axis.  A vector given as a 2-D ndarray is a stack, one
+row per trial; any other value is one trial's vector, checked and given that
+axis by :func:`~ineqlab.linalg.vector_rows`.  The public chain, built at the
+end of the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one
+trial's inputs.  The kernels use only per-row or elementwise operations that
 round as the one-trial Python arithmetic did, so no row depends on the batch
 around it.
 
@@ -16,48 +17,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, one_trial, trial_inputs
+from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, one_trial
 from .errors import InvalidInput
 from .linalg import (
-    as_square_matrix,
+    as_matrices,
     as_vector,
     inner,
     matvec,
     modulus,
     require_nonzero_vector,
     require_orthogonal_projection,
-    require_same_length,
     row_norms,
     vector_pair,
+    vector_rows,
 )
-
-
-def _rows(*pairs) -> list[np.ndarray]:
-    """One trial's named vectors, validated, as batches of one."""
-    coerced = [(name, as_vector(value, name)) for name, value in pairs]
-    require_same_length(*coerced)
-    return [vec[None, :] for _, vec in coerced]
-
-
-# One trial's inputs of a kernel, for chains.trial_inputs: its vectors as
-# batches of one, the other arguments as given.
-def _xy(x, y, *args, **kwargs):
-    return (*_rows(("x", x), ("y", y)), *args), kwargs
-
-
-def _xyz(x, y, z, *args, **kwargs):
-    return (*_rows(("x", x), ("y", y), ("z", z)), *args), kwargs
 
 
 @np.errstate(invalid="ignore")  # a non-finite row divides to NaN; its chain raises InvalidInput
 def _units(*pairs) -> list[np.ndarray]:
-    """Named (trials, dim) vectors scaled to unit norm per row.  A zero row
-    raises for the first trial that has one, naming its first zero input."""
-    norms = [row_norms(vec) for _, vec in pairs]
+    """Named vectors (see :func:`~ineqlab.linalg.vector_rows`) scaled to unit
+    norm per row.  A zero row raises for the first trial that has one, naming
+    its first zero input."""
+    rows = vector_rows(*pairs)
+    norms = [row_norms(vec) for vec in rows]
     for trial in np.flatnonzero(np.any([n == 0.0 for n in norms], axis=0))[:1]:
-        for name, vec in pairs:
+        for (name, _), vec in zip(pairs, rows):
             require_nonzero_vector(vec[trial], name)
-    return [vec / n[:, None] for (_, vec), n in zip(pairs, norms)]
+    return [vec / n[:, None] for vec, n in zip(rows, norms)]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,8 +84,7 @@ def angles(x, y) -> AngleResult:
     psi or phi can disagree with acos of the reported cosine by about one
     ulp near the endpoints, in the angle's favor.
     """
-    xv, yv = _rows(("x", x), ("y", y))
-    u, w = _units(("x", xv), ("y", yv))
+    u, w = _units(("x", as_vector(x, "x")), ("y", as_vector(y, "y")))
     ip = complex(inner(u, w)[0])
     return AngleResult(
         cos_psi=min(1.0, abs(ip)),
@@ -109,7 +94,6 @@ def angles(x, y) -> AngleResult:
     )
 
 
-@trial_inputs(_xy)
 def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """psi as the phase infimum of phi, witnessed on a uniform phase grid.
 
@@ -124,9 +108,9 @@ def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None =
     rounding level, phi is flat to a few ulps over the whole grid, and the
     three-phase minimum can sit a few ulps above the full-grid one.
     """
+    u, w = _units(("x", x), ("y", y))
     if grid < 8:
         raise InvalidInput(f"grid must be at least 8, got {grid}")
-    u, w = _units(("x", x), ("y", y))
     # Grid phases k-1, k, k+1 around the one nearest -arg<u, w>; a non-finite
     # row takes k = 0 and is rejected below by its psi.
     turn = np.rint(np.angle(inner(u, w)) * (-grid / (2.0 * np.pi)))
@@ -143,7 +127,6 @@ def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None =
     return chain_batch("psi_infimum", terms, tolerance)
 
 
-@trial_inputs(_xyz)
 def krein_triangle_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Triangle inequality for the real-part angle phi."""
     ux, uy, uz = _units(("x", x), ("y", y), ("z", z))
@@ -151,7 +134,6 @@ def krein_triangle_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> C
     return chain_batch("krein_triangle", terms, tolerance)
 
 
-@trial_inputs(_xyz)
 def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Triangle inequality for psi with an interpolating refinement term.
 
@@ -186,9 +168,9 @@ def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None
     return chain_batch("lin_triangle_refined", terms, tolerance)
 
 
-@trial_inputs(_xyz)
 def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
+    x, y, z = vector_rows(("x", x), ("y", y), ("z", z))
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
     pair = modulus(inner(x, z)) * modulus(inner(y, z))
     bound = 0.5 * _sq(nz) * (modulus(inner(x, y)) + nx * ny)
@@ -203,7 +185,6 @@ def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
     return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(modulus(i_yz)), 0.0))
 
 
-@trial_inputs(_xyz)
 def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Four-step chain from a product of inner products up to the Buzano bound.
 
@@ -211,6 +192,7 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     <x,y>||z||^2 - <x,z><z,y>, then by bounding that deviation with the
     Cauchy-Schwarz defect radicals.
     """
+    x, y, z = vector_rows(("x", x), ("y", y), ("z", z))
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
     i_xz, i_zy, i_yz, i_xy = inner(x, z), inner(z, y), inner(y, z), inner(x, y)
     pair_mod = modulus(_mul(i_xz, i_yz))
@@ -222,9 +204,9 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     return chain_batch("lemma21", terms, tolerance)
 
 
-@trial_inputs(_xyz)
 def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Cauchy-Schwarz with an intermediate bound through a third vector."""
+    x, y, z = vector_rows(("x", x), ("y", y), ("z", z))
     nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
     i_xz, i_zy, i_yz = inner(x, z), inner(z, y), inner(y, z)
     split = modulus(i_xz) * modulus(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
@@ -232,19 +214,14 @@ def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> Ch
     return chain_batch("cs_refinement", terms + [("cauchy_schwarz", _sq(nz) * nx * ny)], tolerance)
 
 
-def _pxy(projection, x, y, *args, **kwargs):
-    proj = as_square_matrix(projection, "P")
-    xv, yv = vector_pair(x, y, proj, "P")
-    return (proj[None], xv[None], yv[None], *args), kwargs
-
-
-@trial_inputs(_pxy)
 def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano-type bound for an orthogonal projection applied inside the
     inner product; the projection precondition is enforced."""
-    require_orthogonal_projection(projection, name="P")
-    lhs = modulus(inner(matvec(projection, x), y))
-    rhs = 0.5 * (modulus(inner(x, y)) + row_norms(x) * row_norms(y))
+    proj = as_matrices(projection, "P")
+    xv, yv = vector_pair(x, y, proj, "P")
+    require_orthogonal_projection(proj, name="P")
+    lhs = modulus(inner(matvec(proj, xv), yv))
+    rhs = 0.5 * (modulus(inner(xv, yv)) + row_norms(xv) * row_norms(yv))
     return chain_batch("projection_buzano", [("projected_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 

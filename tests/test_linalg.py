@@ -30,7 +30,8 @@ from ineqlab.linalg import (
     vector_from_json_dict,
     vector_to_json_dict,
 )
-from ineqlab.operator_ineq import bourin_property
+from ineqlab.operator_ineq import bourin_property, corollary35_batch
+from ineqlab.radius import numerical_radius
 
 
 def random_complex(rng, *shape):
@@ -332,6 +333,23 @@ def test_non_finite_stack_row_raises_as_that_matrix_alone():
     stack[2, 0, 1] = np.nan
     for check in (as_matrices, operator_norm, require_positive_semidefinite):
         assert first_error(check, stack) == first_error(check, stack[2])
+
+
+@pytest.mark.parametrize("value", ["abc", 5, [[1.0], [1.0, 2.0]]])
+def test_vectors_beside_a_stack_raise_the_one_vector_message(value):
+    stack = psd_stack(np.random.default_rng(11), 2, 3) / 100.0  # positive contractions
+    y = np.ones((2, 3))
+    one_vector = first_error(lambda v: as_vector(v, "x"), value)
+    assert first_error(lambda v: corollary35_batch(stack, v, y), value) == one_vector
+
+
+def test_a_stack_of_no_trials_is_rejected_by_name():
+    empty = np.zeros((0, 3, 3))
+    for check in (operator_norm, numerical_radius, as_matrices):
+        assert first_error(check, empty) == (errors.InvalidInput, "matrix: empty stack, no trials")
+    stack = np.zeros((2, 3, 3))
+    assert first_error(lambda v: corollary35_batch(stack, v, np.ones((2, 3))), []) == (
+        errors.InvalidInput, "x: empty stack, no trials")
 
 
 def test_length_checks_compare_trial_counts():

@@ -393,6 +393,26 @@ def test_scalar_product_difference_lemma():
         assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
+def bits(result):
+    return np.array(result.values).tobytes(), np.array(result.slacks).tobytes(), result.passed
+
+
+def test_vector_chains_read_an_ndarray_with_a_trial_axis_as_a_stack():
+    rng = np.random.default_rng(31)
+    x, y, z = (random_vec(rng, 3) for _ in range(3))
+    # A (1, d) ndarray row is a batch of one: the 1-D result, bit for bit.
+    for chain in (buzano_chain, lemma21_chain, cs_refinement_chain, krein_triangle, lin_triangle_refined):
+        assert bits(chain(x[None], y[None], z[None])) == bits(chain(x, y, z))
+    assert bits(psi_infimum_property(x[None], y[None])) == bits(psi_infimum_property(x, y))
+    # Three (d, 1) ndarray columns are a stack of d one-entry trials.
+    with pytest.raises(errors.InvalidInput, match=r"^buzano: expected one trial's inputs, got a stack of 3$"):
+        buzano_chain(x[:, None], y[:, None], z[:, None])
+    # Nested-list columns are one trial's vectors, and so are ndarray columns given to angles.
+    columns = [[[entry] for entry in vec] for vec in (x, y, z)]
+    assert bits(buzano_chain(*columns)) == bits(buzano_chain(x, y, z))
+    assert angles(x[:, None], y[:, None]) == angles(x, y)
+
+
 def test_dimension_mismatch_raised():
     with pytest.raises(errors.DimensionMismatch):
         buzano_chain([1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0])

@@ -17,8 +17,8 @@ Tolerances fixed here:
 
 Every spectral hypothesis of a chain (a PSD operator, a positive
 contraction, a spectrum inside ``[low, high]``) is decided by one window
-test, :func:`require_window`: :func:`require_spectrum` applies it and
-returns the symmetrized matrix so callers compute on exactly what was
+test, :func:`require_window`: :func:`require_spectrum` applies it and returns
+the symmetrized matrix and its spectrum so callers compute on exactly what was
 checked, and :func:`psd_power` applies it to the eigenvalues it factors.
 
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
@@ -54,19 +54,26 @@ PSD_CLAMP_REL = 1e-9
 # input validation
 
 
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
+def _as_array(value, name: str, kind: str, ndim: int) -> np.ndarray:
+    """Coerce to an ``ndim``-D complex128 array, rejecting empty and non-finite ones."""
     try:
         arr = np.asarray(value, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name}: cannot interpret as a complex matrix: {exc}") from None
-    if arr.ndim != 2:
-        raise InvalidInput(f"{name}: expected a 2-D array, got shape {arr.shape}")
+        raise InvalidInput(f"{name}: cannot interpret as a complex {kind}: {exc}") from None
+    if ndim == 1 and arr.ndim == 2 and arr.shape[1] == 1:
+        arr = arr[:, 0]
+    if arr.ndim != ndim:
+        raise InvalidInput(f"{name}: expected a {ndim}-D array, got shape {arr.shape}")
     if arr.size == 0:
-        raise InvalidInput(f"{name}: empty matrix")
+        raise InvalidInput(f"{name}: empty {kind}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name}: contains NaN or infinite entries")
     return arr
+
+
+def as_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
+    return _as_array(value, name, "matrix", 2)
 
 
 def as_square_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -78,23 +85,13 @@ def as_square_matrix(value, name: str = "matrix") -> np.ndarray:
 
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D complex128 array; column matrices are flattened."""
-    try:
-        arr = np.asarray(value, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name}: cannot interpret as a complex vector: {exc}") from None
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name}: expected a 1-D array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise InvalidInput(f"{name}: empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name}: contains NaN or infinite entries")
-    return arr
+    return _as_array(value, name, "vector", 1)
 
 
 def per_trial(coerce, value, name: str) -> np.ndarray:
     """A stack over a leading trial axis, each trial checked by ``coerce``; the first failing one raises."""
+    if isinstance(value, np.ndarray) and value.dtype.kind not in "biufc":
+        raise InvalidInput(f"{name}: a stack must hold numbers, got dtype {value.dtype}")
     try:
         stack = np.asarray(value, dtype=np.complex128)
         trials = len(stack)
@@ -116,11 +113,12 @@ def as_matrices(value, name: str = "matrix", coerce=as_square_matrix) -> np.ndar
 def vector_rows(*pairs) -> list[np.ndarray]:
     """The named vectors of ``(name, value)`` pairs as (trials, d) rows of one shape.
 
-    A 2-D ndarray is a stack, one row per trial, and goes in as is; any other
-    value is one trial's vector, checked by :func:`as_vector` (so a nested-list
-    column is flattened) and given the trial axis.
+    A 2-D ndarray is a stack, one row per trial, and goes in as is if numeric
+    (:func:`per_trial` rejects any other); any other value is one trial's
+    vector, checked by :func:`as_vector` (a nested-list column is flattened).
     """
-    rows = [(name, value if isinstance(value, np.ndarray) and value.ndim == 2 else as_vector(value, name)[None])
+    rows = [(name, (value if value.dtype.kind in "biufc" else per_trial(as_vector, value, name))
+             if isinstance(value, np.ndarray) and value.ndim == 2 else as_vector(value, name)[None])
             for name, value in pairs]
     require_same_length(*rows)
     return [vec for _, vec in rows]
@@ -201,10 +199,11 @@ class EigenDecomposition:
 
 @dataclass
 class PolarDecomposition:
-    """Factorization M = unitary @ modulus with modulus = (M* M)^(1/2)."""
+    """Factorization M = unitary @ modulus, modulus = (M* M)^(1/2), and M's singular values, descending."""
 
     unitary: np.ndarray
     modulus: np.ndarray
+    singular_values: np.ndarray
 
 
 def _symmetrized(matrix, name: str) -> np.ndarray:
@@ -231,6 +230,11 @@ def operator_norm(matrix):
     mat = as_matrices(matrix, coerce=as_matrix)
     top = np.linalg.svd(mat, compute_uv=False)[..., 0]
     return float(top) if mat.ndim == 2 else top
+
+
+def hermitian_norm(matrix):
+    """Norm of a Hermitian matrix, per trial: max|lambda| of one ``eigvalsh``, which reads one triangle only."""
+    return np.abs(np.linalg.eigvalsh(as_matrices(matrix))).max(axis=-1)
 
 
 def psd_clamp(eigenvalues: np.ndarray):
@@ -266,7 +270,7 @@ def polar_decompose(matrix) -> PolarDecomposition:
     """
     left, values, right_h = np.linalg.svd(as_matrices(matrix))
     mod = (adjoint(right_h) * values[..., None, :]) @ right_h
-    return PolarDecomposition(left @ right_h, 0.5 * (mod + adjoint(mod)))
+    return PolarDecomposition(left @ right_h, 0.5 * (mod + adjoint(mod)), values)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +317,17 @@ def require_spectrum(
     name: str = "matrix",
     slack: float | None = None,
     error: type[Exception] = SpectrumOutOfRange,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Validate Hermitian + spectrum inside [low - slack, high + slack] (see
-    :func:`require_window`); returns the symmetrized matrix."""
+    :func:`require_window`); returns the symmetrized matrix and its spectrum."""
     sym = _symmetrized(matrix, name)
-    require_window(np.linalg.eigvalsh(sym), low, high, name, slack, error)
-    return sym
+    values = np.linalg.eigvalsh(sym)[..., ::-1]
+    require_window(values, low, high, name, slack, error)
+    return sym, values
 
 
-def require_positive_semidefinite(matrix, name: str = "matrix") -> np.ndarray:
-    """Validate Hermitian + nonnegative spectrum; returns the symmetrized matrix."""
+def require_positive_semidefinite(matrix, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Validate Hermitian + nonnegative spectrum; returns the symmetrized matrix and its spectrum."""
     return require_spectrum(matrix, 0.0, np.inf, name, error=NotPositiveSemidefinite)
 
 
@@ -388,7 +393,7 @@ def vector_to_json_dict(vector) -> dict:
 def matrix_from_json_dict(obj, name: str = "matrix") -> np.ndarray:
     """Parse the {"rows", "cols", "re", "im"} wire format.
 
-    The "im" block may be omitted for real matrices.
+    The "im" block may be omitted for real matrices; a column's blocks may be flat lists.
     """
     if not isinstance(obj, dict):
         raise InvalidInput(f"{name}: expected a JSON object, got {type(obj).__name__}")
@@ -407,6 +412,8 @@ def matrix_from_json_dict(obj, name: str = "matrix") -> np.ndarray:
         )
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name}: malformed entry arrays: {exc}") from None
+    if cols == 1:
+        re_part, im_part = (part.reshape(-1, 1) if part.ndim == 1 else part for part in (re_part, im_part))
     if re_part.shape != (rows, cols) or im_part.shape != (rows, cols):
         raise InvalidInput(
             f"{name}: entry arrays must have shape ({rows}, {cols}); "

@@ -25,6 +25,7 @@ from .linalg import (
     HERMITIAN_TOL,
     adjoint,
     as_matrices,
+    hermitian_norm,
     inner,
     matvec,
     modulus,
@@ -50,13 +51,18 @@ def _as_power(power) -> float:
 
 
 def _require_positive_contraction(matrix, name: str = "A") -> np.ndarray:
-    return require_spectrum(matrix, 0.0, 1.0, name, slack=HERMITIAN_TOL)
+    return require_spectrum(matrix, 0.0, 1.0, name, slack=HERMITIAN_TOL)[0]
 
 
 def _require_nonzero(matrix: np.ndarray, name: str = "A") -> np.ndarray:
     if not matrix.any(axis=(-2, -1)).all():
         raise ZeroOperator(f"{name}: the zero operator is excluded here")
     return matrix
+
+
+def _require_nonzero_psd(matrix, name: str = "A") -> tuple[np.ndarray, np.ndarray]:
+    sym, spectrum = require_positive_semidefinite(matrix, name)
+    return _require_nonzero(sym, name), np.abs(spectrum).max(axis=-1)
 
 
 def _quad_form(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -70,7 +76,7 @@ def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBa
 
     |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
     """
-    sym = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
+    sym, _ = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
     xv, yv = vector_pair(x, y, sym, "A")
     gap = 2.0 * sym - sym @ sym
     lhs = modulus(inner(xv - matvec(sym, xv), yv - matvec(sym, yv)))
@@ -96,8 +102,7 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
     Unscaled form requires a positive contraction; the scaled form accepts
     any nonzero PSD operator and divides its contribution by ||A||.
     """
-    sym = _require_nonzero(require_positive_semidefinite(A, "A")) if scaled else _require_positive_contraction(A, "A")
-    denom = operator_norm(sym) if scaled else 1.0
+    sym, denom = _require_nonzero_psd(A) if scaled else (_require_positive_contraction(A, "A"), 1.0)
     xv, yv = vector_pair(x, y, sym, "A")
     radical = np.sqrt(_quad_form(sym, xv) * _quad_form(sym, yv))
     lhs = modulus(inner(xv, yv)) + (radical - modulus(inner(matvec(sym, xv), yv))) / denom
@@ -114,17 +119,17 @@ def corollary35_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> Chai
     return chain_batch("corollary35", [("sandwiched_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 
-def _remark36_terms(sym: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    lhs = modulus(inner(matvec(sym, xv), yv))
-    rhs = 0.5 * operator_norm(sym) * (modulus(inner(xv, yv)) + row_norms(xv) * row_norms(yv))
+def _remark36_terms(norm, mat: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    lhs = modulus(inner(matvec(mat, xv), yv))
+    rhs = 0.5 * norm * (modulus(inner(xv, yv)) + row_norms(xv) * row_norms(yv))
     return [("operator_inner_product", lhs), ("scaled_buzano_bound", rhs)]
 
 
 def remark36_scaled_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
-    sym = _require_nonzero(require_positive_semidefinite(A, "A"))
+    sym, norm = _require_nonzero_psd(A)
     xv, yv = vector_pair(x, y, sym, "A")
-    return chain_batch("remark36_scaled", _remark36_terms(sym, xv, yv), tolerance)
+    return chain_batch("remark36_scaled", _remark36_terms(norm, sym, xv, yv), tolerance)
 
 
 def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -135,7 +140,7 @@ def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) 
     """
     mat = as_matrices(A, "A")
     xv, yv = vector_pair(x, y, mat, "A")
-    return chain_batch("remark36_counterexample", _remark36_terms(mat, xv, yv), tolerance)
+    return chain_batch("remark36_counterexample", _remark36_terms(operator_norm(mat), mat, xv, yv), tolerance)
 
 
 def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -147,7 +152,7 @@ def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     mat = _require_nonzero(as_matrices(A, "A"))
     xv, yv = vector_pair(x, y, mat, "A")
     polar = polar_decompose(mat)
-    half_norm = 0.5 * operator_norm(mat)
+    half_norm = 0.5 * polar.singular_values[..., 0]
     nx = row_norms(xv)
     u_on_x = modulus(inner(matvec(polar.unitary, xv), yv))
     rotated = row_norms(matvec(adjoint(polar.unitary), yv))
@@ -173,10 +178,10 @@ def corollary37_batch(A, B, tolerance: ToleranceConfig | None = None) -> ChainBa
     omega(AB) <= (||B||/2)(omega(A) + ||A||) <= (3/2) ||B|| omega(A).
     """
     mat_a = as_matrices(A, "A")
-    sym_b = require_positive_semidefinite(B, "B")
+    sym_b, spectrum_b = require_positive_semidefinite(B, "B")
     require_same_length(("A", mat_a), ("B", sym_b))
     radius_ab, radius_a = _radius_pair(mat_a @ sym_b, mat_a)
-    norm_b = operator_norm(sym_b)
+    norm_b = np.abs(spectrum_b).max(axis=-1)
     terms = [
         ("omega_product", radius_ab.omega),
         ("half_norm_split", 0.5 * norm_b * (radius_a.omega + radius_a.norm)),
@@ -201,7 +206,7 @@ def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
     radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
     moduli = adjoint(mat_t) @ mat_t + mat_s @ adjoint(mat_s)
-    bound = 0.25 * operator_norm(moduli) + 0.5 * radius_st.omega
+    bound = 0.25 * hermitian_norm(moduli) + 0.5 * radius_st.omega
     terms = [("omega_sandwich", radius_sat.omega), ("moduli_plus_half_omega", bound)]
     return chain_batch("corollary38_omega", terms, tolerance, radii=(radius_sat, radius_st))
 
@@ -229,22 +234,24 @@ def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     mod_s_adj_2r = psd_power(mat_s @ adjoint(mat_s), r, "SS*")
     # Python's float power, row by row: numpy's power rounds some rows differently.
     sat_r, st_r = (np.array([omega**r for omega in radius.omega.tolist()]) for radius in (radius_sat, radius_st))
-    bound = 0.25 * operator_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * st_r
+    bound = 0.25 * hermitian_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * st_r
     terms = [("omega_sandwich_power", sat_r), ("moduli_power_bound", bound)]
     return chain_batch(f"power_r{r:g}", terms, tolerance, radii=(radius_sat, radius_st))
 
 
 def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Norm convexity transfer for PSD pairs: the r-th power of the average
-    is dominated in norm by the average of the r-th powers."""
+    is dominated in norm by the average of the r-th powers; the former is
+    the r-th power of the top eigenvalue of (M+N)/2, clipped at zero."""
     r = _as_power(power)
     mat_m = as_matrices(M, "M")
     power_m = psd_power(mat_m, r, "M")
     mat_n = as_matrices(N, "N")
     power_n = psd_power(mat_n, r, "N")
     require_same_length(("M", mat_m), ("N", mat_n))
-    lhs = operator_norm(psd_power(0.5 * (mat_m + mat_n), r, "(M+N)/2"))
-    rhs = 0.5 * operator_norm(power_m + power_n)
+    _, average = require_positive_semidefinite(0.5 * (mat_m + mat_n), "(M+N)/2")
+    lhs = np.maximum(average[..., 0], 0.0) ** r
+    rhs = 0.5 * hermitian_norm(power_m + power_n)
     return chain_batch(f"bourin_r{r:g}", [("power_of_average", lhs), ("average_of_powers", rhs)], tolerance)
 
 
@@ -254,7 +261,7 @@ def contraction_builder(A) -> np.ndarray:
     Requires A Hermitian with spectrum in [0, 1/4]; returns the branch
     B = (I + sqrt(I - 4A))/2, whose spectrum lies in [1/2, 1].
     """
-    sym = require_spectrum(A, 0.0, 0.25, "A")
+    sym, _ = require_spectrum(A, 0.0, 0.25, "A")
     eye = np.eye(sym.shape[0], dtype=np.complex128)
     root = psd_sqrt(eye - 4.0 * sym, "I - 4A")
     return 0.5 * (eye + root)
@@ -268,7 +275,7 @@ def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) ->
 
     omega(T) <= (||T|| + ||T||^{1/2} omega(UR))/2
             <= (||T|| + ||T||^{1/2} ||UR||)/2
-            <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||.
+            <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||,  with ||U|| = 1.
     """
     mat = as_matrices(T, "T")
     polar = polar_decompose(mat)
@@ -279,7 +286,7 @@ def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) ->
         ("omega", radius_t.omega),
         ("half_rotated_omega", 0.5 * (norm_t + sqrt_norm * radius_ur.omega)),
         ("half_rotated_norm", 0.5 * (norm_t + sqrt_norm * radius_ur.norm)),
-        ("unitary_factor_bound", 0.5 * (norm_t + sqrt_norm * operator_norm(polar.unitary) * sqrt_norm)),
+        ("unitary_factor_bound", 0.5 * (norm_t + sqrt_norm * sqrt_norm)),
         ("operator_norm", norm_t),
     ]
     return chain_batch("final_omega_refinement", terms, tolerance, radii=(radius_t, radius_ur))

@@ -158,6 +158,18 @@ def test_check_passing(tmp_path, capsys):
     assert [term["label"] for term in doc["terms"]][0] == "inner_product_pair"
 
 
+def test_check_reads_vector_files_with_flat_lists(tmp_path, capsys):
+    # The README's vector format: "cols": 1 with flat or nested lists.
+    values = {"x": [1.0, 0.0], "y": [0.0, 1.0], "z": [S2, S2]}
+    nested = [vector_file(tmp_path, f"{name}.json", v) for name, v in values.items()]
+    flat = [write_json(tmp_path / f"{name}_flat.json", {"rows": 2, "cols": 1, "re": v}) for name, v in values.items()]
+    outputs = []
+    for files in (nested, flat):
+        assert main(["check", "buzano", "--in", *files]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_check_failing_chain_exits_one(tmp_path, capsys):
     files = [
         matrix_file(tmp_path, "a.json", [[0.0, 1.0], [0.0, 0.0]]),

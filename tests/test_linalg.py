@@ -11,6 +11,7 @@ from ineqlab.linalg import (
     as_matrix,
     as_vector,
     hermitian_eigen,
+    hermitian_norm,
     EigenDecomposition,
     is_positive_contraction,
     load_matrix,
@@ -190,6 +191,28 @@ def test_operator_norm_matches_svd():
     assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
+def test_hermitian_norm_is_max_abs_eigenvalue():
+    rng = np.random.default_rng(14)
+    g = random_complex(rng, 5, 5)
+    h = g + g.conj().T - 3.0 * np.eye(5)  # indefinite
+    assert hermitian_norm(h) == pytest.approx(operator_norm(h), rel=1e-14)
+    sym, spectrum = require_spectrum(h, -np.inf, np.inf)
+    assert np.abs(spectrum).max() == hermitian_norm(sym)
+    assert list(spectrum) == sorted(spectrum, reverse=True)
+    assert hermitian_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_hermitian_norm_takes_products_hermitian_only_up_to_rounding():
+    # T*T + SS* at scale 1e6: its rounding breaks the 1e-10 Hermitian check,
+    # which the norm must not apply to the product.
+    rng = np.random.default_rng(15)
+    t, s = (1e6 * random_complex(rng, 6, 6) for _ in range(2))
+    product = t.conj().T @ t + s @ s.conj().T
+    with pytest.raises(errors.NotHermitian):
+        require_hermitian(product)
+    assert hermitian_norm(product) == pytest.approx(operator_norm(product), rel=1e-13)
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(5)
     for n in (2, 3, 6):
@@ -246,6 +269,8 @@ def test_modulus_and_polar():
     for n in (2, 3, 5):
         m = random_complex(rng, n, n)
         pol = polar_decompose(m)
+        assert pol.singular_values[0] == pytest.approx(operator_norm(m), rel=1e-14)
+        assert list(pol.singular_values) == sorted(pol.singular_values, reverse=True)
         # Unitary factor and exact reconstruction.
         gram = pol.unitary.conj().T @ pol.unitary
         assert np.max(np.abs(gram - np.eye(n))) < 1e-12
@@ -279,12 +304,13 @@ def psd_stack(rng, trials, n):
 
 
 STACK_HELPERS = {
-    "require_spectrum": lambda m: (require_spectrum(m, 0.0, np.inf, "M"),),
-    "require_positive_semidefinite": lambda m: (require_positive_semidefinite(m, "M"),),
+    "require_spectrum": lambda m: require_spectrum(m, 0.0, np.inf, "M"),
+    "require_positive_semidefinite": lambda m: require_positive_semidefinite(m, "M"),
     "hermitian_eigen": lambda m: tuple(vars(hermitian_eigen(m, "M")).values()),
     "psd_power": lambda m: (psd_power(m, 3.0, "M"),),
     "psd_sqrt": lambda m: (psd_sqrt(m, "M"),),
     "operator_norm": lambda m: (operator_norm(m),),
+    "hermitian_norm": lambda m: (hermitian_norm(m),),
     "polar_decompose": lambda m: tuple(vars(polar_decompose(m)).values()),
     "as_matrices": lambda m: (as_matrices(m),),
 }
@@ -331,7 +357,7 @@ def test_stack_with_two_bad_rows_names_the_first(check, fault):
 def test_non_finite_stack_row_raises_as_that_matrix_alone():
     stack = psd_stack(np.random.default_rng(10), 4, 3)
     stack[2, 0, 1] = np.nan
-    for check in (as_matrices, operator_norm, require_positive_semidefinite):
+    for check in (as_matrices, operator_norm, hermitian_norm, require_positive_semidefinite):
         assert first_error(check, stack) == first_error(check, stack[2])
 
 
@@ -345,7 +371,7 @@ def test_vectors_beside_a_stack_raise_the_one_vector_message(value):
 
 def test_a_stack_of_no_trials_is_rejected_by_name():
     empty = np.zeros((0, 3, 3))
-    for check in (operator_norm, numerical_radius, as_matrices):
+    for check in (operator_norm, hermitian_norm, numerical_radius, as_matrices):
         assert first_error(check, empty) == (errors.InvalidInput, "matrix: empty stack, no trials")
     stack = np.zeros((2, 3, 3))
     assert first_error(lambda v: corollary35_batch(stack, v, np.ones((2, 3))), []) == (
@@ -421,6 +447,17 @@ def test_json_rejects_malformed_documents():
         matrix_from_json_dict([1, 2, 3])
     with pytest.raises(errors.InvalidInput):
         vector_from_json_dict({"rows": 2, "cols": 2, "re": [[1.0, 2.0], [3.0, 4.0]]})
+
+
+def test_vector_files_take_flat_or_nested_columns():
+    nested = vector_from_json_dict({"rows": 2, "cols": 1, "re": [[1.0], [0.0]], "im": [[0.0], [2.0]]})
+    flat = vector_from_json_dict({"rows": 2, "cols": 1, "re": [1.0, 0.0], "im": [0.0, 2.0]})
+    assert np.array_equal(flat, nested) and np.array_equal(flat, [1.0, 2.0j])
+    assert np.array_equal(vector_from_json_dict({"rows": 2, "cols": 1, "re": [1, 0]}), [1.0, 0.0])
+    with pytest.raises(errors.InvalidInput, match=r"must have shape \(2, 1\); got re \(3, 1\)"):
+        vector_from_json_dict({"rows": 2, "cols": 1, "re": [1.0, 0.0, 0.0]})
+    with pytest.raises(errors.InvalidInput, match=r"must have shape \(2, 2\); got re \(2,\)"):
+        matrix_from_json_dict({"rows": 2, "cols": 2, "re": [1.0, 0.0]})
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from ineqlab.chains import ToleranceConfig, one_trial  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
 from ineqlab.errors import IneqLabError  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
-from ineqlab.linalg import operator_norm, polar_decompose, psd_power, psd_sqrt  # noqa: E402
+from ineqlab.linalg import polar_decompose, psd_power, psd_sqrt  # noqa: E402
 from ineqlab.radius import numerical_radius, numerical_radius_sampling_oracle  # noqa: E402
 
 OMEGA_SUITES = [
@@ -60,18 +60,23 @@ def _sym(m):
     return 0.5 * (m + m.conj().T)
 
 
+def _hnorm(m):
+    """The norm of a Hermitian operand: max|lambda| of its eigvalsh spectrum."""
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
+
+
 def _corollary37(a, b):
-    product, alone, norm_b = numerical_radius(a @ _sym(b)), numerical_radius(a), operator_norm(_sym(b))
+    product, alone, norm_b = numerical_radius(a @ _sym(b)), numerical_radius(a), _hnorm(_sym(b))
     return [product.omega, 0.5 * norm_b * (alone.omega + alone.norm), 1.5 * norm_b * alone.omega]
 
 
 def _corollary38_omega(a, s, t):
-    moduli = operator_norm(t.conj().T @ t + s @ s.conj().T)
+    moduli = _hnorm(t.conj().T @ t + s @ s.conj().T)
     return [numerical_radius(s @ _sym(a) @ t).omega, 0.25 * moduli + 0.5 * numerical_radius(s @ t).omega]
 
 
 def _power(a, s, t, power):
-    moduli = operator_norm(psd_power(t.conj().T @ t, power) + psd_power(s @ s.conj().T, power))
+    moduli = _hnorm(psd_power(t.conj().T @ t, power) + psd_power(s @ s.conj().T, power))
     sandwich, product = numerical_radius(s @ _sym(a) @ t).omega, numerical_radius(s @ t).omega
     return [sandwich**power, 0.25 * moduli + 0.5 * product**power]
 
@@ -84,7 +89,7 @@ def _final_omega_refinement(t):
         whole.omega,
         0.5 * (whole.norm + root * rotated.omega),
         0.5 * (whole.norm + root * rotated.norm),
-        0.5 * (whole.norm + root * operator_norm(polar.unitary) * root),
+        0.5 * (whole.norm + root * root),  # ||U|| = 1
         whole.norm,
     ]
 

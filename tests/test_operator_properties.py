@@ -50,6 +50,11 @@ def _opnorm(m):
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def _hnorm(m):
+    """The norm of a Hermitian operand: max|lambda| of its eigvalsh spectrum."""
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
+
+
 def _power(m, r):
     values, vectors = np.linalg.eigh(_sym(m))
     order = np.argsort(values)[::-1]
@@ -72,7 +77,7 @@ def _theorem_gap(a, x, y):
 
 def _corollary33(a, x, y, scaled=False):
     a = _sym(a)
-    group = (np.sqrt(_quad(a, x) * _quad(a, y)) - abs(_inner(a @ x, y))) / (_opnorm(a) if scaled else 1.0)
+    group = (np.sqrt(_quad(a, x) * _quad(a, y)) - abs(_inner(a @ x, y))) / (_hnorm(a) if scaled else 1.0)
     return [abs(_inner(x, y)) + group, _norm(x) * _norm(y)]
 
 
@@ -83,12 +88,12 @@ def _corollary35(a, x, y):
 
 def _remark36_scaled(a, x, y):
     a = _sym(a)
-    return [abs(_inner(a @ x, y)), 0.5 * _opnorm(a) * (abs(_inner(x, y)) + _norm(x) * _norm(y))]
+    return [abs(_inner(a @ x, y)), 0.5 * _hnorm(a) * (abs(_inner(x, y)) + _norm(x) * _norm(y))]
 
 
 def _remark36_polar(a, x, y):
-    left, _, right_h = np.linalg.svd(a)
-    unitary, half = left @ right_h, 0.5 * _opnorm(a)
+    left, values, right_h = np.linalg.svd(a)
+    unitary, half = left @ right_h, 0.5 * float(values[0])
     u_on_x = abs(_inner(unitary @ x, y))
     rotated = _norm(unitary.conj().T @ y)
     return [abs(_inner(a @ x, y)), half * (u_on_x + _norm(x) * rotated), half * (u_on_x + _norm(x) * _norm(y))]
@@ -100,7 +105,8 @@ def _corollary38_norm(a, s, t):
 
 
 def _bourin(m, n, power):
-    return [_opnorm(_power(0.5 * (m + n), power)), 0.5 * _opnorm(_power(m, power) + _power(n, power))]
+    top = max(float(np.linalg.eigvalsh(_sym(0.5 * (m + n)))[-1]), 0.0)
+    return [top**power, 0.5 * _hnorm(_power(m, power) + _power(n, power))]
 
 
 REFERENCE = {

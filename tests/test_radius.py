@@ -1,6 +1,7 @@
-"""Numerical radius by the level-set method: exact cases, sandwich bounds,
-witness contract, agreement with the grid + golden-section sweep it
-replaced, the certified upper bound, and the sampling oracle."""
+"""Numerical radius by the level-set method: exact cases, closed-form radii
+at dims up to 32, sandwich bounds, witness contract, agreement with the
+grid + golden-section sweep it replaced, the certified upper bound, and the
+sampling oracle."""
 
 import math
 
@@ -360,3 +361,59 @@ def test_sampling_oracle_converges_for_hermitian():
 def test_sampling_oracle_rejects_bad_sample_count():
     with pytest.raises(InvalidInput):
         numerical_radius_sampling_oracle(SHIFT, 0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form radii: the stacked call and the one-matrix call against exact values
+
+ORACLE_DIMS = [2, 3, 5, 8, 16, 32]
+ORACLE_TRIALS = 3
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(random_complex(rng, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def jordan_block(rng, n):
+    """J_n, ones on the superdiagonal: w = cos(pi/(n+1)) (Haagerup and de la Harpe, 1992)."""
+    return np.eye(n, k=1, dtype=complex), math.cos(math.pi / (n + 1))
+
+
+def rank_one(rng, n):
+    """uv*: w = (|<u, v>| + ||u|| ||v||)/2."""
+    u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    return np.outer(u, v.conj()), (abs(np.vdot(v, u)) + np.linalg.norm(u) * np.linalg.norm(v)) / 2.0
+
+
+def square_zero(rng, n):
+    """T with T^2 = 0, a block [[0, B], [0, 0]] moved by a unitary: w = ||T||/2."""
+    k = n // 2
+    block = np.zeros((n, n), dtype=complex)
+    block[:k, k:] = random_complex(rng, n)[:k, k:]
+    u = haar_unitary(rng, n)
+    return u @ block @ u.conj().T, np.linalg.svd(block, compute_uv=False)[0] / 2.0
+
+
+def normal(rng, n):
+    """U diag(lambda) U*: w is the spectral radius max|lambda|."""
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = haar_unitary(rng, n)
+    return (u * values) @ u.conj().T, np.abs(values).max()
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+@pytest.mark.parametrize("construction", [jordan_block, rank_one, square_zero, normal])
+def test_radius_matches_closed_form_values(construction, n):
+    rng = np.random.default_rng(n)
+    cases = [construction(rng, n) for _ in range(ORACLE_TRIALS)]
+    stack, exact = np.stack([m for m, _ in cases]), np.array([w for _, w in cases])
+    stacked = numerical_radius(stack)
+    alone = [numerical_radius(m) for m, _ in cases]
+    # For normal T, omega = ||T||, so no level certifies and upper is the SVD
+    # norm, which can sit a few ulps below: 1.2e-15 relative at worst on 280
+    # such draws at n <= 32.  Every other upper is a certified level.
+    floor = exact * (1.0 - 1e-14) if construction is normal else exact
+    for omega, upper in [(stacked.omega, stacked.upper), ([r.omega for r in alone], [r.upper for r in alone])]:
+        assert np.abs(np.asarray(omega) - exact).max() <= 1e-14 * exact.max()
+        assert (np.asarray(upper) >= floor).all()

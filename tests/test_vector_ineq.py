@@ -413,6 +413,19 @@ def test_vector_chains_read_an_ndarray_with_a_trial_axis_as_a_stack():
     assert angles(x[:, None], y[:, None]) == angles(x, y)
 
 
+@pytest.mark.parametrize(
+    "stack, dtype",
+    [(np.array([["1", "2"]]), "<U1"), (np.array([[1.0, None]], dtype=object), "object")],
+)
+def test_non_numeric_vector_stacks_raise_invalid_input(stack, dtype):
+    numeric = np.array([[1.0, 0.0]])
+    message = rf"^x: a stack must hold numbers, got dtype {dtype}$"
+    with pytest.raises(errors.InvalidInput, match=message):
+        buzano_chain(stack, numeric, numeric)
+    with pytest.raises(errors.InvalidInput, match=message):
+        psi_infimum_property(stack, numeric)
+
+
 def test_dimension_mismatch_raised():
     with pytest.raises(errors.DimensionMismatch):
         buzano_chain([1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0])

@@ -42,7 +42,6 @@ from .radius import numerical_radius, numerical_radius_sampling_oracle
 
 SCHEMA_VERSION = 1
 TIGHTEST_KEEP = 5
-PSI_GRID = 3600
 ORACLE_SUITE_SAMPLES = 512
 ORACLE_CHECK_SAMPLES = 10000
 COUNTEREXAMPLE_SLACK = -0.5
@@ -146,7 +145,7 @@ def _build_registry() -> dict[str, SuiteSpec]:
         vector("cs_refinement", (v, v, v), vec_ineq.cs_refinement_batch),
         vector("krein_triangle", (v, v, v), vec_ineq.krein_triangle_batch),
         vector("lin_triangle_refined", (v, v, v), vec_ineq.lin_triangle_refined_batch),
-        vector("psi_infimum", (v, v), vec_ineq.psi_infimum_batch, {"grid": PSI_GRID}),
+        vector("psi_infimum", (v, v), vec_ineq.psi_infimum_batch),
         vector("projection_buzano", ("projection", *xy), vec_ineq.projection_buzano_batch),
         SuiteSpec("lemma_2A", psd_xy, op_ineq.lemma_2A_batch),
         SuiteSpec("theorem_gap", pc_xy, op_ineq.theorem_gap_batch),

@@ -24,15 +24,14 @@ checked, and :func:`psd_power` applies it to the eigenvalues it factors.
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial: each row is tested and rounded as on its own,
 and a failing stack raises its first failing trial's own error.  Vectors
-follow the same rule (:func:`vector_rows`): a 2-D ndarray is a ``(trials,
-d)`` stack, and any other value is one vector.
+follow the same rule (:func:`vector_rows`), beside an operator or not: a 2-D
+ndarray is a ``(trials, d)`` stack, and any other value is one trial's vector.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -88,18 +87,14 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return _as_array(value, name, "vector", 1)
 
 
-def per_trial(coerce, value, name: str) -> np.ndarray:
-    """A stack over a leading trial axis, each trial checked by ``coerce``; the first failing one raises."""
-    if isinstance(value, np.ndarray) and value.dtype.kind not in "biufc":
+def per_trial(coerce, value: np.ndarray, name: str) -> np.ndarray:
+    """An ndarray stack over a leading trial axis, each trial checked by ``coerce``; the first failing one raises."""
+    if value.dtype.kind not in "biufc":
         raise InvalidInput(f"{name}: a stack must hold numbers, got dtype {value.dtype}")
-    try:
-        stack = np.asarray(value, dtype=np.complex128)
-        trials = len(stack)
-    except (TypeError, ValueError):  # not numeric, or a scalar: coerce raises its one-input message
-        return coerce(value, name)
-    if not trials:
+    if not len(value):
         raise InvalidInput(f"{name}: empty stack, no trials")
-    bad = np.flatnonzero(~np.isfinite(stack.reshape(trials, -1)).all(axis=1))
+    stack = np.asarray(value, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1))
     coerce(stack[bad[0] if bad.size else 0], name)
     return stack
 
@@ -113,13 +108,17 @@ def as_matrices(value, name: str = "matrix", coerce=as_square_matrix) -> np.ndar
 def vector_rows(*pairs) -> list[np.ndarray]:
     """The named vectors of ``(name, value)`` pairs as (trials, d) rows of one shape.
 
-    A 2-D ndarray is a stack, one row per trial, and goes in as is if numeric
-    (:func:`per_trial` rejects any other); any other value is one trial's
-    vector, checked by :func:`as_vector` (a nested-list column is flattened).
+    A 2-D ndarray is a stack, one row per trial: it goes in as is if numeric,
+    non-empty and finite, and else raises its first failing row's own error
+    (:func:`per_trial`).  Any other value is one trial's :func:`as_vector`.
     """
-    rows = [(name, (value if value.dtype.kind in "biufc" else per_trial(as_vector, value, name))
-             if isinstance(value, np.ndarray) and value.ndim == 2 else as_vector(value, name)[None])
-            for name, value in pairs]
+    rows = []
+    for name, value in pairs:
+        if not (isinstance(value, np.ndarray) and value.ndim == 2):
+            value = as_vector(value, name)[None]
+        elif not (value.dtype.kind in "biufc" and value.size and np.isfinite(value).all()):
+            value = per_trial(as_vector, value, name)
+        rows.append((name, value))
     require_same_length(*rows)
     return [vec for _, vec in rows]
 
@@ -145,15 +144,13 @@ def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vnam
         raise DimensionMismatch(
             f"{mname} has shape {matrix.shape[-2:]} and cannot act on {vname} of length {vector.shape[-1]}"
         )
-    if matrix.shape[:-2] != vector.shape[:-1]:
+    if (matrix.shape[:-2] or (1,)) != vector.shape[:-1]:  # one matrix is one trial
         raise DimensionMismatch(f"{mname} has shape {matrix.shape} but {vname} has shape {vector.shape}")
 
 
 def vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of one trial, or (trials, d) rows of them beside a stack of operators."""
-    coerce = as_vector if operator.ndim == 2 else partial(per_trial, as_vector)
-    xv, yv = coerce(x, "x"), coerce(y, "y")
-    require_same_length(("x", xv), ("y", yv))
+    """x and y as (trials, d) rows (:func:`vector_rows`) that ``operator`` acts on."""
+    xv, yv = vector_rows(("x", x), ("y", y))
     require_operator_on(operator, xv, opname, "x")
     return xv, yv
 

@@ -4,15 +4,15 @@ refinement of omega(T) <= ||T||.
 
 Each chain is one kernel, ``<chain>_batch``, on one trial's inputs or on a
 stack of them over a leading trial axis: a 3-D ndarray operator is a stack,
-and the vectors beside it are then (trials, d) rows.  Its public chain,
-built at the end of the module by :func:`~ineqlab.chains.one_trial`, is the
-kernel on one trial's inputs.  The two numerical radii of a trial go into
-one stacked :func:`~ineqlab.radius.numerical_radius` call.  Every kernel
-validates the hypotheses it relies on and raises a typed error when they
-fail; a stack raises the error of its first failing trial.  The one
-deliberate exception, :func:`remark36_unchecked_batch`, skips the positivity
-hypothesis so that the known counterexample can be reproduced as a genuine
-violation.
+one matrix is one trial, and vectors are read as the vector kernels read them
+(:func:`~ineqlab.linalg.vector_rows`).  Its public chain, built at the end of
+the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one trial's
+inputs.  The two numerical radii of a trial go into one stacked
+:func:`~ineqlab.radius.numerical_radius` call.  Every kernel validates the
+hypotheses it relies on and raises a typed error when they fail; a stack
+raises the error of its first failing trial.  The one deliberate exception,
+:func:`remark36_unchecked_batch`, skips the positivity hypothesis so that the
+known counterexample can be reproduced as a genuine violation.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def contraction_builder(A) -> np.ndarray:
     B = (I + sqrt(I - 4A))/2, whose spectrum lies in [1/2, 1].
     """
     sym, _ = require_spectrum(A, 0.0, 0.25, "A")
-    eye = np.eye(sym.shape[0], dtype=np.complex128)
+    eye = np.eye(sym.shape[-1], dtype=np.complex128)
     root = psd_sqrt(eye - 4.0 * sym, "I - 4A")
     return 0.5 * (eye + root)
 

@@ -14,7 +14,7 @@ angles, Newton steps on g polish theta, one ``eigh`` of H(theta) per step:
 g' = v1* H' v1 and g'' = -g + 2 sum_j |vj* H' v1|^2 / (g - lambda_j), with
 the bounded ascent step g'/||T|| where g'' >= 0.  omega is the largest g
 seen, or the attained |<T w, w>| of its top eigenvector w if that is larger,
-so it is a lower bound on w(T) that never overshoots.
+so it is a lower bound on w(T) that never overshoots, capped at ||T||.
 
 A level r is an eigenvalue of H(theta) exactly when z = e^{i theta} is an
 eigenvalue of the quadratic pencil Q(z) = z^2 T - 2 r z I + T*, so one 2n x 2n
@@ -25,7 +25,7 @@ certifies omega and is ``upper``.  If it has, the polish stopped at a local
 maximum; g at the midpoints of consecutive crossings of omega lifts theta
 past it, and the polish runs again.  ``upper`` is the first certified level
 for delta in 1e-12, 1e-10, or ||T|| when that is lower or neither level
-certifies.
+certifies.  So omega <= upper <= ||T||, even where the SVD rounds ||T|| low.
 
 Q is solved on the unit circle after the disc map z = (u + a)/(1 + conj(a) u)
 with |a| = 1/2, which keeps the leading coefficient conj(a)^2 Q(1/conj(a))
@@ -224,7 +224,7 @@ def numerical_radius(matrix) -> RadiusResult:
         rows = rows[~np.isnan(start[rows])]
     rows = np.flatnonzero(upper == norm)
     upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[1])
-    fields = (omega, np.mod(angle, 2.0 * np.pi), witness, norm, upper)
+    fields = (np.minimum(omega, norm), np.mod(angle, 2.0 * np.pi), witness, norm, upper)
     if mats.ndim == 3:
         return RadiusResult(*fields)
     return RadiusResult(*(field[0] if field.ndim > 1 else float(field[0]) for field in fields))

@@ -32,16 +32,20 @@ from .linalg import (
     vector_rows,
 )
 
+PSI_GRID = 3600  # phase grid of the psi_infimum chain: its band is psi + pi/PSI_GRID
 
-@np.errstate(invalid="ignore")  # a non-finite row divides to NaN; its chain raises InvalidInput
+
+@np.errstate(over="ignore")  # an overflowing norm is rejected below, by name
 def _units(*pairs) -> list[np.ndarray]:
     """Named vectors (see :func:`~ineqlab.linalg.vector_rows`) scaled to unit
-    norm per row.  A zero row raises for the first trial that has one, naming
-    its first zero input."""
+    norm per row.  A zero row, or one whose norm overflows, raises for the
+    first trial that has one, naming its first such input."""
     rows = vector_rows(*pairs)
     norms = [row_norms(vec) for vec in rows]
-    for trial in np.flatnonzero(np.any([n == 0.0 for n in norms], axis=0))[:1]:
-        for (name, _), vec in zip(pairs, rows):
+    for trial in np.flatnonzero(np.any([(n == 0.0) | (n == np.inf) for n in norms], axis=0))[:1]:
+        for (name, _), vec, n in zip(pairs, rows, norms):
+            if n[trial] == np.inf:
+                raise InvalidInput(f"{name}: norm overflows float64")
             require_nonzero_vector(vec[trial], name)
     return [vec / n[:, None] for vec, n in zip(rows, norms)]
 
@@ -94,7 +98,7 @@ def angles(x, y) -> AngleResult:
     )
 
 
-def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None = None) -> ChainBatch:
+def psi_infimum_batch(x, y, grid: int = PSI_GRID, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """psi as the phase infimum of phi, witnessed on a uniform phase grid.
 
     The chain sandwiches the grid minimum of phi(e^{i theta} x, y) between
@@ -111,10 +115,9 @@ def psi_infimum_batch(x, y, grid: int = 360, tolerance: ToleranceConfig | None =
     u, w = _units(("x", x), ("y", y))
     if grid < 8:
         raise InvalidInput(f"grid must be at least 8, got {grid}")
-    # Grid phases k-1, k, k+1 around the one nearest -arg<u, w>; a non-finite
-    # row takes k = 0 and is rejected below by its psi.
+    # Grid phases k-1, k, k+1 around the one nearest -arg<u, w>.
     turn = np.rint(np.angle(inner(u, w)) * (-grid / (2.0 * np.pi)))
-    near = np.mod(np.where(np.isfinite(turn), turn, 0.0).astype(np.int64)[:, None] + np.arange(-1, 2), grid)
+    near = np.mod(turn.astype(np.int64)[:, None] + np.arange(-1, 2), grid)
     phase = np.exp(1j * (2.0 * np.pi * near / grid))[:, None, :]  # each as its entry of the full grid
     cos, sin, ub, wb = phase.real, phase.imag, u[:, :, None], w[:, :, None]
     # e^{i theta} u on those phases, in real arithmetic over (trials, dim, 3).

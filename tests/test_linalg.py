@@ -374,7 +374,7 @@ def test_a_stack_of_no_trials_is_rejected_by_name():
     for check in (operator_norm, hermitian_norm, numerical_radius, as_matrices):
         assert first_error(check, empty) == (errors.InvalidInput, "matrix: empty stack, no trials")
     stack = np.zeros((2, 3, 3))
-    assert first_error(lambda v: corollary35_batch(stack, v, np.ones((2, 3))), []) == (
+    assert first_error(lambda v: corollary35_batch(stack, v, np.ones((2, 3))), np.zeros((0, 3))) == (
         errors.InvalidInput, "x: empty stack, no trials")
 
 

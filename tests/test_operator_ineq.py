@@ -315,6 +315,16 @@ def test_contraction_builder_round_trip():
         assert residual <= 1e-10 * (1.0 + operator_norm(a))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_contraction_builder_takes_a_stack_row_by_row(n):
+    rng = np.random.default_rng(54)
+    stack = np.stack([random_contraction(rng, n, top=0.25) for _ in range(4)])
+    built = contraction_builder(stack)
+    assert built.shape == stack.shape
+    for row, a in zip(built, stack):
+        assert row.tobytes() == contraction_builder(a).tobytes()
+
+
 def test_contraction_builder_rejects_bad_spectrum():
     with pytest.raises(errors.SpectrumOutOfRange):
         contraction_builder(0.3 * np.eye(2))

@@ -26,6 +26,11 @@ FAULTS = {
     "below_window": lambda m: m - 2.0 * np.eye(m.shape[-1]),
     "zero": np.zeros_like,
 }
+# Faults applied to one x or y row: a non-finite entry, which every chain rejects.
+VECTOR_FAULTS = {
+    "nan": lambda v: np.concatenate(([np.nan], v[1:])),
+    "minus_inf_imag": lambda v: np.concatenate(([complex(0.0, -np.inf)], v[1:])),
+}
 
 
 # The chains as one-matrix numpy and Python-float arithmetic, the form they
@@ -153,11 +158,15 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
     stream = trial_stream(EnsembleConfig(spec.family, dim, seed, trials), np.arange(trials))
     drawn = [draw(family, stream, dim) for family in spec.draws]
     matrices = [i for i, family in enumerate(spec.draws) if family != "unit_vector"]
-    faults = st.tuples(st.integers(0, trials - 1), st.sampled_from(matrices), st.sampled_from(sorted(FAULTS)))
-    fault = data.draw(st.none() | faults)
+    vectors = [i for i, family in enumerate(spec.draws) if family == "unit_vector"]
+    rows = st.integers(0, trials - 1)
+    faults = [st.tuples(rows, st.sampled_from(matrices), st.sampled_from(sorted(FAULTS)))]
+    if vectors:
+        faults.append(st.tuples(rows, st.sampled_from(vectors), st.sampled_from(sorted(VECTOR_FAULTS))))
+    fault = data.draw(st.one_of(st.none(), *faults))
     if fault is not None:
         row, position, kind = fault
-        drawn[position][row] = FAULTS[kind](drawn[position][row])
+        drawn[position][row] = {**FAULTS, **VECTOR_FAULTS}[kind](drawn[position][row])
     inputs = spec.arranged(drawn)
     rows = [_outcome(one_trial(spec.kernel), *[block[t] for block in inputs], **spec.kwargs) for t in range(trials)]
     failures = [row for row in rows if isinstance(row, tuple)]

@@ -417,3 +417,4 @@ def test_radius_matches_closed_form_values(construction, n):
     for omega, upper in [(stacked.omega, stacked.upper), ([r.omega for r in alone], [r.upper for r in alone])]:
         assert np.abs(np.asarray(omega) - exact).max() <= 1e-14 * exact.max()
         assert (np.asarray(upper) >= floor).all()
+        assert (np.asarray(upper) >= np.asarray(omega)).all()

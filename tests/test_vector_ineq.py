@@ -206,34 +206,53 @@ def test_psi_infimum_cost_does_not_grow_with_grid():
     assert np.all((gap >= -1e-12) & (gap <= np.pi / grid + 1e-12))
 
 
-# Kernels that scale their inputs to unit rows, with the term that a bad
-# entry in x (side 0) or in y (side 1) first makes non-finite.  Test ids keep
-# the psi-only form, side-bad, for psi_infimum.
+# Kernels that scale their inputs to unit rows.  A bad entry in x (side 0)
+# or in y (side 1) is rejected by that input's name.  Test ids keep the
+# psi-only form, side-bad, for psi_infimum.
 _UNIT_KERNELS = [
-    ("", psi_infimum_batch, 2, {"grid": 3600}, ("psi", "psi")),
-    ("krein_triangle-", krein_triangle_batch, 3, {}, ("phi_xz", "phi_xy_plus_phi_yz")),
-    ("lin_triangle_refined-", lin_triangle_refined_batch, 3, {}, ("psi_xy", "psi_xy")),
+    ("", psi_infimum_batch, 2),
+    ("krein_triangle-", krein_triangle_batch, 3),
+    ("lin_triangle_refined-", lin_triangle_refined_batch, 3),
 ]
 
 
 @pytest.mark.parametrize(
-    "kernel, arity, kwargs, terms, side, bad",
+    "kernel, arity, side, bad",
     [
-        pytest.param(kernel, arity, kwargs, terms, side, bad, id=f"{prefix}{side}-{bad}")
-        for prefix, kernel, arity, kwargs, terms in _UNIT_KERNELS
+        pytest.param(kernel, arity, side, bad, id=f"{prefix}{side}-{bad}")
+        for prefix, kernel, arity in _UNIT_KERNELS
         for side in (0, 1)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, np.nan))
     ],
 )
-def test_psi_infimum_non_finite_row_raises_without_new_warnings(kernel, arity, kwargs, terms, side, bad):
+def test_psi_infimum_non_finite_row_raises_without_new_warnings(kernel, arity, side, bad):
     rng = np.random.default_rng(5)
     inputs = [complex_rows(rng, 4, 3) for _ in range(arity)]
     inputs[side][2, 1] = bad
-    name = kernel.__name__.removesuffix("_batch")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the typed error is the only signal
-        with pytest.raises(errors.InvalidInput, match=f"^{name}: term '{terms[side]}' is not finite$"):
-            kernel(*inputs, **kwargs)
+        with pytest.raises(errors.InvalidInput, match=f"^{'xy'[side]}: contains NaN or infinite entries$"):
+            kernel(*inputs)
+
+
+def test_angle_chains_reject_a_vector_whose_norm_overflows():
+    # Finite entries whose squares overflow: the norm is inf, and dividing
+    # by it made a zero unit vector, so the chains passed on zero terms.
+    big, fine = ([1e200, 0.0], [0.0, 1e200], [1e200, 1e200]), ([1e150, 0.0], [0.0, 1e150], [1e150, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error is the only signal
+        for call, name in [
+            (lambda: krein_triangle(*big), "x"),
+            (lambda: lin_triangle_refined(*big), "x"),
+            (lambda: angles(big[0], big[2]), "x"),
+            (lambda: psi_infimum_property(big[0], big[2]), "x"),
+            (lambda: krein_triangle(fine[0], big[1], fine[2]), "y"),
+            (lambda: krein_triangle_batch(np.array(fine), np.array([fine[1], big[1], big[2]]), np.array(fine)), "y"),
+        ]:
+            with pytest.raises(errors.InvalidInput, match=f"^{name}: norm overflows float64$"):
+                call()
+        assert krein_triangle(*fine).values == pytest.approx([np.pi / 4, 3 * np.pi / 4], rel=1e-15)
+        assert angles(fine[0], fine[2]).psi == pytest.approx(np.pi / 4, rel=1e-15)
 
 
 def test_psi_infimum_validates_grid():

@@ -11,10 +11,12 @@ st = hypothesis.strategies
 from ineqlab import vector_ineq as vi  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
 from ineqlab.errors import IneqLabError  # noqa: E402
-from ineqlab.harness import PSI_GRID  # noqa: E402
 from ineqlab.vector_ineq import angles, krein_triangle, lin_triangle_refined  # noqa: E402
 
 ENTRY = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+# Faults put into one entry of one vector row: a zero row, which only the
+# angle chains reject, or a non-finite entry, which every chain rejects.
+FAULTS = (0.0, np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, np.nan))
 
 # kernel, one-trial chain, number of vector inputs, fixed keyword arguments
 KERNELS = {
@@ -23,7 +25,7 @@ KERNELS = {
     "cs_refinement": (vi.cs_refinement_batch, vi.cs_refinement_chain, 3, {}),
     "krein_triangle": (vi.krein_triangle_batch, vi.krein_triangle, 3, {}),
     "lin_triangle_refined": (vi.lin_triangle_refined_batch, vi.lin_triangle_refined, 3, {}),
-    "psi_infimum": (vi.psi_infimum_batch, vi.psi_infimum_property, 2, {"grid": PSI_GRID}),
+    "psi_infimum": (vi.psi_infimum_batch, vi.psi_infimum_property, 2, {}),
     "projection_buzano": (vi.projection_buzano_batch, vi.projection_buzano, 2, {}),
 }
 
@@ -63,9 +65,14 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
     dim = data.draw(st.integers(min_value=1, max_value=6))
     size = trials * dim
     inputs = [np.array(data.draw(st.lists(ENTRY, min_size=size, max_size=size))).reshape(trials, dim) for _ in range(count)]
-    zero = data.draw(st.none() | st.tuples(st.integers(0, trials - 1), st.integers(0, count - 1)))
-    if zero is not None:
-        inputs[zero[1]][zero[0]] = 0.0
+    faults = st.tuples(st.integers(0, trials - 1), st.integers(0, count - 1), st.sampled_from(FAULTS))
+    fault = data.draw(st.none() | faults)
+    if fault is not None:
+        row, position, value = fault
+        if value == 0.0:
+            inputs[position][row] = 0.0
+        else:
+            inputs[position][row, data.draw(st.integers(0, dim - 1))] = value
     if name == "projection_buzano":
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
         cfg = EnsembleConfig("projection", dim, seed, trials)
@@ -73,9 +80,9 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
     rows = [_outcome(chain, *[block[t] for block in inputs], **kwargs) for t in range(trials)]
     failures = [row for row in rows if isinstance(row, tuple)]
     if failures:
-        # Only the angle chains reject input here: a zero vector, named as
-        # the one-trial chain on the first failing row names it.
-        assert name in ("krein_triangle", "lin_triangle_refined", "psi_infimum")
+        # The kernel raises the error of the one-trial chain on the first
+        # failing row: a non-finite entry, or a zero vector in an angle chain.
+        assert name in ("krein_triangle", "lin_triangle_refined", "psi_infimum") or fault[2] != 0.0
         error, message = failures[0]
         with pytest.raises(error) as raised:
             kernel(*inputs, **kwargs)

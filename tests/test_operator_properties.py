@@ -159,10 +159,10 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
     drawn = [draw(family, stream, dim) for family in spec.draws]
     matrices = [i for i, family in enumerate(spec.draws) if family != "unit_vector"]
     vectors = [i for i, family in enumerate(spec.draws) if family == "unit_vector"]
-    rows = st.integers(0, trials - 1)
-    faults = [st.tuples(rows, st.sampled_from(matrices), st.sampled_from(sorted(FAULTS)))]
+    trial = st.integers(0, trials - 1)
+    faults = [st.tuples(trial, st.sampled_from(matrices), st.sampled_from(sorted(FAULTS)))]
     if vectors:
-        faults.append(st.tuples(rows, st.sampled_from(vectors), st.sampled_from(sorted(VECTOR_FAULTS))))
+        faults.append(st.tuples(trial, st.sampled_from(vectors), st.sampled_from(sorted(VECTOR_FAULTS))))
     fault = data.draw(st.one_of(st.none(), *faults))
     if fault is not None:
         row, position, kind = fault

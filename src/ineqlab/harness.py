@@ -20,11 +20,9 @@ its violations are excluded from the process exit code.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Sequence
@@ -38,12 +36,11 @@ from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
 from .linalg import load_matrix, load_vector, read_json
 from .prng import Stream
-from .radius import numerical_radius, numerical_radius_sampling_oracle
+from .radius import ORACLE_CHECK_SAMPLES, numerical_radius, numerical_radius_sampling_oracle
 
 SCHEMA_VERSION = 1
 TIGHTEST_KEEP = 5
 ORACLE_SUITE_SAMPLES = 512
-ORACLE_CHECK_SAMPLES = 10000
 COUNTEREXAMPLE_SLACK = -0.5
 COUNTEREXAMPLE_TOL = 1e-12
 # Trials per evaluation call of run_suite; bounds the memory of a batched
@@ -245,6 +242,8 @@ def run_suite(
 
     start = time.perf_counter()
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a pool run pays for it
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(outcomes, chunks))
     else:
@@ -288,6 +287,8 @@ def suite_outcome_ok(spec: SuiteSpec, report: SuiteReport) -> bool:
 
 def derive_entry_seed(suite: str, dim: int, base_seed: int = 0) -> int:
     """Stable per-entry seed: base xor the first 8 bytes of sha256(suite/dim)."""
+    import hashlib  # loads OpenSSL; only an entry without a seed pays for it
+
     digest = hashlib.sha256(f"{suite}/{dim}".encode("utf-8")).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0xFFFFFFFFFFFFFFFF
 
@@ -321,7 +322,7 @@ def _parse_entry(entry) -> tuple[SuiteSpec, EnsembleConfig]:
     _reject_unknown(entry, ("suite", "family", "dim", "trials", "seed"))
     spec = _suite(entry.get("suite"), entry.get("family"))
     dim, trials = entry.get("dim", spec.default_dim), entry.get("trials", spec.default_trials)
-    seed = entry.get("seed", derive_entry_seed(spec.name, dim))
+    seed = entry["seed"] if "seed" in entry else derive_entry_seed(spec.name, dim)
     for key, value in (("dim", dim), ("trials", trials), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInput(f"{key} must be an integer")

@@ -47,6 +47,7 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-10
 PSD_CLAMP_REL = 1e-9
+_SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))  # the largest float whose square is finite
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +112,26 @@ def vector_rows(*pairs) -> list[np.ndarray]:
     A 2-D ndarray is a stack, one row per trial: it goes in as is if numeric,
     non-empty and finite, and else raises its first failing row's own error
     (:func:`per_trial`).  Any other value is one trial's :func:`as_vector`.
+    A row whose :func:`row_norms` overflows float64 raises for the first trial
+    with one, naming its first such input, with no warning.
     """
-    rows = []
+    rows, suspect = [], False
     for name, value in pairs:
         if not (isinstance(value, np.ndarray) and value.ndim == 2):
             value = as_vector(value, name)[None]
-        elif not (value.dtype.kind in "biufc" and value.size and np.isfinite(value).all()):
-            value = per_trial(as_vector, value, name)
+        elif not (value.dtype.kind in "biufc" and value.size):
+            value = per_trial(as_vector, value, name)  # raises
+        # Entries below _SQRT_MAX / sqrt(d) keep every sum of squares finite;
+        # a NaN fails the test too, and per_trial raises for its row.
+        if not np.abs(value).max() < _SQRT_MAX / value.shape[-1] ** 0.5:
+            value, suspect = per_trial(as_vector, value, name), True
         rows.append((name, value))
     require_same_length(*rows)
+    if suspect:
+        with np.errstate(over="ignore"):
+            over = np.array([row_norms(vec) == np.inf for _, vec in rows])
+        for trial in np.flatnonzero(over.any(axis=0))[:1]:
+            raise InvalidInput(f"{rows[np.argmax(over[:, trial])][0]}: norm overflows float64")
     return [vec for _, vec in rows]
 
 
@@ -363,7 +375,7 @@ def row_norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def require_nonzero_vector(vector: np.ndarray, name: str = "vector") -> None:
-    if float(np.linalg.norm(vector)) == 0.0:
+    if not vector.any():
         raise ZeroVector(f"{name}: zero vector not allowed here")
 
 

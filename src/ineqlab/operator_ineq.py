@@ -87,9 +87,17 @@ def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBa
 def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
     A - A^2 is at most a quarter of the defect of the identity."""
-    sym = _require_positive_contraction(A, "A")
+    sym, spectrum = require_spectrum(A, 0.0, 1.0, "A", slack=HERMITIAN_TOL)
     xv, yv = vector_pair(x, y, sym, "A")
     gap = sym - sym @ sym
+    # The window lets the spectrum leave [0, 1] by HERMITIAN_TOL, more than
+    # the chain's floor absorbs; such a trial takes A - A^2 on its clipped spectrum.
+    outside = (spectrum[..., -1] < 0.0) | (spectrum[..., 0] > 1.0)
+    if outside.any():
+        values, vectors = np.linalg.eigh(sym)
+        clipped = np.clip(values, 0.0, 1.0)
+        inside_gap = (vectors * (clipped - clipped**2)[..., None, :]) @ adjoint(vectors)
+        gap = np.where(outside[..., None, None], inside_gap, gap)
     middle = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv)) - modulus(inner(matvec(gap, xv), yv))
     cap = (row_norms(xv) * row_norms(yv) - modulus(inner(xv, yv))) / 4.0
     terms = [("zero", np.zeros(np.shape(middle))), ("gap_defect", middle), ("quarter_cs_defect", cap)]

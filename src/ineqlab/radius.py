@@ -44,22 +44,38 @@ and each step draws the next samples of every trial, at most about 4096
 complex entries in all so that its blocks stay in cache and on the heap, and
 forms them with one batched BLAS matmul.  Row t equals the one-matrix call
 at any chunking and step size.
+
+The stream is counter-based, so sample j at dimension n is entries
+[jn, (j+1)n) of the seed's complex-Gaussian sequence.  A scalar seed (check
+mode) therefore reads its draws from one read-only table per process, at
+most ``ORACLE_TABLE_ENTRIES`` = 10,000 x MAX_DIM entries (10.24 MB), which
+serves any shorter request as a prefix; a longer one within the cap, or
+another seed, replaces it.  An array of seeds (suite runs) or a request
+above the cap streams.  Every value is the streamed one bit for bit, and
+building the table costs about what streaming the same draws did.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import MAX_DIM
 from .errors import InvalidInput
 from .linalg import adjoint, as_matrices, inner, matvec, modulus, operator_norm, row_norms
 from .prng import Stream, mix64
 
-# Complex entries (trials x samples x n) per sampling-oracle step: small enough
-# to stay in cache and, as 64 KiB arrays under glibc's 128 KiB mmap threshold,
-# on the heap (no fresh pages per step); large enough for one BLAS matmul to pay.
+# Complex entries (trials x samples x n) per sampling-oracle step, and per
+# chunk of a seed table: small enough to stay in cache and, as 64 KiB arrays
+# under glibc's 128 KiB mmap threshold, on the heap (no fresh pages per step);
+# large enough for one BLAS matmul to pay.
 _ORACLE_STEP_ENTRIES = 4096
+# Samples of a check-mode oracle call; a seed table holds at most that many at
+# MAX_DIM (640,000 complex entries, 10.24 MB), and a longer request streams.
+ORACLE_CHECK_SAMPLES = 10000
+ORACLE_TABLE_ENTRIES = ORACLE_CHECK_SAMPLES * MAX_DIM
 _START_ANGLES = (2.0 * np.pi / 8) * np.arange(8)
 # Disc-map centres, tried in order while the leading coefficient is singular.
 _CENTRES = (0.5, 0.5j)
@@ -230,6 +246,31 @@ def numerical_radius(matrix) -> RadiusResult:
     return RadiusResult(*(field[0] if field.ndim > 1 else float(field[0]) for field in fields))
 
 
+# The process's one seed table: (seed, its read-only complex Gaussians), or None.
+_table: tuple[int, np.ndarray] | None = None
+_table_lock = threading.Lock()
+
+
+def _seed_table(seed: int, entries: int) -> np.ndarray:
+    """The first ``entries`` complex Gaussians of ``seed``'s oracle stream.
+
+    They come from the process's one table, which is built in steps into one
+    preallocated array and published by one assignment; a longer request or
+    another seed drops it and builds the next.
+    """
+    global _table
+    with _table_lock:
+        if _table is None or _table[0] != seed or len(_table[1]) < entries:
+            _table = None
+            stream, draws = Stream(mix64(seed)), np.empty(entries, dtype=np.complex128)
+            for start in range(0, entries, _ORACLE_STEP_ENTRIES):
+                stop = min(start + _ORACLE_STEP_ENTRIES, entries)
+                draws[start:stop] = stream.complex_gaussians(stop - start)
+            draws.flags.writeable = False
+            _table = (seed, draws)
+        return _table[1][:entries]
+
+
 def numerical_radius_sampling_oracle(matrix, samples: int, seed):
     """Monte-Carlo lower bound: max |<T x, x>| over ``samples`` random unit
     vectors x; per trial of a (trials, n, n) stack, with one seed per trial
@@ -237,7 +278,8 @@ def numerical_radius_sampling_oracle(matrix, samples: int, seed):
 
     Each trial draws from a private counter-based stream keyed only by its
     seed, so its result depends on nothing but (matrix, samples, seed), not
-    on the stack around it or on the step size.
+    on the stack around it or on the step size.  A scalar seed reads its
+    draws from the process's table (see the module docstring).
     """
     mats = as_matrices(matrix)
     if samples < 1:
@@ -245,16 +287,24 @@ def numerical_radius_sampling_oracle(matrix, samples: int, seed):
     stack = mats.reshape(-1, *mats.shape[-2:])
     trials, n = stack.shape[:2]
     seeds = np.asarray(seed if isinstance(seed, np.ndarray) else int(seed) % 2**64, dtype=np.uint64)
-    stream = Stream(mix64(np.broadcast_to(seeds, trials)))
+    table = None
+    if seeds.ndim == 0 and samples * n <= ORACLE_TABLE_ENTRIES:
+        table = _seed_table(int(seeds), samples * n)
+    else:
+        stream = Stream(mix64(np.broadcast_to(seeds, trials)))
     step = max(2, _ORACLE_STEP_ENTRIES // (trials * n))
     best = np.zeros(trials)
-    remaining = samples
-    while remaining > 0:
+    drawn = 0
+    while drawn < samples:
         # A step never holds a lone last sample: numpy runs a one-row matmul
         # through gemv, which rounds unlike gemm (only samples == 1 does).
-        block = remaining if remaining <= step + 1 else step
-        remaining -= block
-        draws = stream.complex_gaussians(block * n).reshape(trials, block, n)
+        block = samples - drawn if samples - drawn <= step + 1 else step
+        if table is None:
+            draws = stream.complex_gaussians(block * n)
+        else:
+            draws = np.broadcast_to(table[drawn * n : (drawn + block) * n], (trials, block * n))
+        drawn += block
+        draws = draws.reshape(trials, block, n)
         norms = np.linalg.norm(draws, axis=-1)
         norms[norms == 0.0] = 1.0
         unit = draws / norms[..., None]

@@ -33,20 +33,23 @@ from .linalg import (
 )
 
 PSI_GRID = 3600  # phase grid of the psi_infimum chain: its band is psi + pi/PSI_GRID
+# Below this norm a row's squares reach the subnormal range and lose digits.
+_LOW_NORM = np.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 
 
-@np.errstate(over="ignore")  # an overflowing norm is rejected below, by name
 def _units(*pairs) -> list[np.ndarray]:
     """Named vectors (see :func:`~ineqlab.linalg.vector_rows`) scaled to unit
-    norm per row.  A zero row, or one whose norm overflows, raises for the
-    first trial that has one, naming its first such input."""
+    norm per row.  A zero row raises for the first trial that has one,
+    naming its first such input; a row whose squares underflow takes its
+    norm after scaling by its largest entry."""
     rows = vector_rows(*pairs)
     norms = [row_norms(vec) for vec in rows]
-    for trial in np.flatnonzero(np.any([(n == 0.0) | (n == np.inf) for n in norms], axis=0))[:1]:
+    for trial in np.flatnonzero(np.any([n < _LOW_NORM for n in norms], axis=0)):
         for (name, _), vec, n in zip(pairs, rows, norms):
-            if n[trial] == np.inf:
-                raise InvalidInput(f"{name}: norm overflows float64")
             require_nonzero_vector(vec[trial], name)
+            if n[trial] < _LOW_NORM:
+                scale = np.abs(vec[trial]).max()
+                n[trial] = scale * row_norms(vec[trial] / scale)
     return [vec / n[:, None] for vec, n in zip(rows, norms)]
 
 

@@ -1,10 +1,14 @@
 """Command line behavior: argument handling, exit codes, emitted files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ineqlab
 from ineqlab.chains import chain_batch
 from ineqlab.cli import main
 from ineqlab.harness import REGISTRY, SuiteSpec
@@ -216,6 +220,27 @@ def test_check_of_finite_inputs_whose_products_overflow_exits_two(tmp_path, caps
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["check", "corollary38_norm", "--in", a, big, big]) == 2
     assert "contains NaN or infinite entries" in capsys.readouterr().err
+
+
+def test_check_theorem_gap_never_fails_an_input_its_window_accepts(tmp_path, capsys):
+    # A = diag(1 + 5e-11, 0) lies inside the [0, 1] window's 1e-10 slack, yet
+    # the check exited 1 with gap_defect = -5e-11 against a 1e-12 floor.
+    a = matrix_file(tmp_path, "a.json", np.diag([1.0 + 5e-11, 0.0]))
+    x = vector_file(tmp_path, "x.json", [1.0, 0.0])
+    assert main(["check", "theorem_gap", "--in", a, x, x]) == 0
+    assert min(json.loads(capsys.readouterr().out)["slacks"]) >= 0.0
+    outside = matrix_file(tmp_path, "outside.json", np.diag([1.0 + 2e-10, 0.0]))
+    assert main(["check", "theorem_gap", "--in", outside, x, x]) == 3
+
+
+def test_importing_the_cli_loads_no_thread_pool_and_no_hash():
+    # concurrent.futures brings logging and hashlib brings OpenSSL; a pool
+    # run and a seed derivation load them when they need them.
+    probe = "import sys, ineqlab.cli; print(sorted({'concurrent.futures', 'hashlib', 'logging'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(ineqlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_check_usage_errors(tmp_path):

@@ -1,5 +1,7 @@
 """Operator inequality chains: fixed examples, preconditions, property loops."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ineqlab.operator_ineq import (
     remark36_polar_chain,
     remark36_scaled,
     remark36_scaled_unchecked,
+    theorem_gap_batch,
     theorem_gap_chain,
 )
 
@@ -89,6 +92,30 @@ def test_theorem_gap_random_and_middle_nonnegative():
         chain = theorem_gap_chain(a, random_vec(rng, n), random_vec(rng, n))
         assert chain.passed
         assert chain.values[1] >= -1e-12
+
+
+def test_theorem_gap_passes_every_excursion_its_window_accepts():
+    """The [0, 1] window takes a slack of HERMITIAN_TOL = 1e-10, far above the
+    chain's 1e-12 floor when x = y; A = diag(1 + 5e-11, 0) with x = y = e1
+    read gap_defect = -5e-11 and failed.  An accepted input never fails, and
+    a stack row inside [0, 1] keeps the bits of its one-matrix call."""
+    e1 = np.array([1.0, 0.0])
+    for a in (np.diag([1.0 + 5e-11, 0.0]), np.diag([1.0, -5e-11]), np.diag([1.0 + 9.9e-11, -9.9e-11])):
+        chain = theorem_gap_chain(a, e1, e1)
+        assert chain.passed and chain.min_slack >= 0.0
+    with pytest.raises(errors.SpectrumOutOfRange):
+        theorem_gap_chain(np.diag([1.0 + 2e-10, 0.0]), e1, e1)
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5):
+        q = np.linalg.qr(random_matrix(rng, n))[0]
+        edges = [np.r_[1.0 + 9e-11, rng.uniform(0.0, 1.0, n - 2), -9e-11], rng.uniform(0.0, 1.0, n)]
+        stack = np.stack([(q * values) @ q.conj().T for values in edges])
+        near = q[:, 0] + 1e-7 * random_vec(rng, n), q[:, 0] + 1e-7 * random_vec(rng, n)
+        xs, ys = np.stack([near[0], random_vec(rng, n)]), np.stack([near[1], random_vec(rng, n)])
+        batch = theorem_gap_batch(stack, xs, ys)
+        assert batch.passed.all(), batch.slacks
+        inside = theorem_gap_batch(stack[1], xs[1], ys[1])
+        assert np.array_equal(batch.values[1], inside.values[0])
 
 
 def test_theorem_gap_rejects_non_contraction():
@@ -357,6 +384,28 @@ def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(errors.InvalidInput, match="contains NaN or infinite entries"):
             chain(*inputs)
+
+
+@pytest.mark.parametrize(
+    "chain, matrix",
+    [
+        (lemma_2A_chain, np.eye(2)),
+        (theorem_gap_chain, np.eye(2)),
+        (corollary33_chain, np.eye(2)),
+        (corollary35_chain, np.eye(2)),
+        (remark36_scaled, np.eye(2)),
+        (remark36_polar_chain, SHIFT),
+    ],
+    ids=["lemma_2A", "theorem_gap", "corollary33", "corollary35", "remark36_scaled", "remark36_polar"],
+)
+def test_vectors_whose_norms_overflow_are_rejected_by_name(chain, matrix):
+    # The squares of 1e200 overflow: the chains warned "overflow encountered
+    # in vecdot" and then rejected a non-finite term, or passed on inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error is the only signal
+        for x, y, name in (([1e200, 0.0], [1.0, 0.0], "x"), ([1.0, 0.0], [0.0, 1e200j], "y")):
+            with pytest.raises(errors.InvalidInput, match=f"^{name}: norm overflows float64$"):
+                chain(matrix, x, y)
 
 
 # ---------------------------------------------------------------------------

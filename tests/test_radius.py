@@ -1,20 +1,25 @@
 """Numerical radius by the level-set method: exact cases, closed-form radii
 at dims up to 32, sandwich bounds, witness contract, agreement with the
 grid + golden-section sweep it replaced, the certified upper bound, and the
-sampling oracle."""
+sampling oracle with its per-process seed table."""
 
 import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from ineqlab import radius as radius_module
-from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
+from ineqlab.ensembles import MAX_DIM, EnsembleConfig, draw, trial_stream
 from ineqlab.errors import DimensionMismatch, InvalidInput
 from ineqlab.linalg import as_square_matrix, operator_norm
 from ineqlab.prng import Stream, derive_key, mix64
 from ineqlab.radius import (
     _CERTIFY_TOL,
+    ORACLE_CHECK_SAMPLES,
     _angle_values,
     _crossing_angles,
     _hermitian_parts,
@@ -317,6 +322,118 @@ def test_stacked_sampling_oracle_rows_equal_one_matrix_calls(samples, monkeypatc
             monkeypatch.setattr(radius_module, "_ORACLE_STEP_ENTRIES", budget)
             assert np.array_equal(numerical_radius_sampling_oracle(stack, samples, seeds), alone), (n, budget)
         monkeypatch.undo()
+
+
+TABLE_DIMS = (1, 2, 3, 4, 5, 8, 16, 33, 64)
+TABLE_SEEDS = (0, 7, 2**63 + 5)
+
+
+def table_sample_counts(n: int, trials: int) -> list[int]:
+    """1, 2, 10000 and the step size +-1 and +2 at this stack size, where the
+    no-lone-last-sample rule changes the step partition."""
+    step = max(2, radius_module._ORACLE_STEP_ENTRIES // (trials * n))
+    return sorted({1, 2, step - 1, step, step + 1, step + 2, 10000})
+
+
+def streamed(stack, samples, seed):
+    """The oracle through the streamed path: the seed as a per-trial array."""
+    return numerical_radius_sampling_oracle(stack, samples, np.full(len(stack), seed % 2**64, dtype=np.uint64))
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """No seed table at the start, and none left behind for other tests."""
+    monkeypatch.setattr(radius_module, "_table", None)
+
+
+def test_seed_table_equals_the_streamed_path_bit_for_bit(fresh_table):
+    """A scalar seed reads its draws from the process's table; every result
+    equals the streamed path's, one matrix or a stack sharing the seed, with
+    the seeds called alternately so that the table is rebuilt between them."""
+    rng = np.random.default_rng(2024)
+    for n in TABLE_DIMS:
+        one, stack = random_complex(rng, n), np.stack([random_complex(rng, n) for _ in range(3)])
+        for samples in table_sample_counts(n, 1) + table_sample_counts(n, 3):
+            for seed in TABLE_SEEDS:
+                assert numerical_radius_sampling_oracle(one, samples, seed) == streamed(one[None], samples, seed)[0]
+                assert np.array_equal(numerical_radius_sampling_oracle(stack, samples, seed), streamed(stack, samples, seed))
+
+
+@pytest.mark.parametrize("dims", [(16, 2, 4), (2, 4, 16)], ids=["shrinking", "growing"])
+def test_seed_table_serves_every_dim_as_a_prefix(dims, fresh_table):
+    """Sample j at dim n is entries [jn, (j+1)n) of the seed's sequence: a
+    table built for one dim serves a smaller one as a prefix, and a larger
+    one rebuilds it, in either order."""
+    rng = np.random.default_rng(dims[0])
+    matrices = {n: random_complex(rng, n) for n in dims}
+    expected = {n: streamed(matrices[n][None], 10000, 0)[0] for n in dims}
+    for n in dims:
+        assert numerical_radius_sampling_oracle(matrices[n], 10000, 0) == expected[n]
+        assert len(radius_module._table[1]) == 10000 * max(dims[: dims.index(n) + 1])
+    for n in dims:  # now all from the largest table
+        assert numerical_radius_sampling_oracle(matrices[n], 10000, 0) == expected[n]
+
+
+def test_the_process_holds_one_read_only_table_within_the_cap(fresh_table):
+    rng = np.random.default_rng(5)
+    mat = random_complex(rng, 4)
+    numerical_radius_sampling_oracle(mat, 100, 7)
+    seed, table = radius_module._table
+    assert (seed, len(table)) == (7, 400)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    first = weakref.ref(table)
+    del table
+    numerical_radius_sampling_oracle(mat, 100, 0)  # another seed drops the first table
+    assert first() is None and radius_module._table[0] == 0
+    second = weakref.ref(radius_module._table[1])
+    numerical_radius_sampling_oracle(mat, 1000, 0)  # a longer request drops it too
+    assert second() is None and len(radius_module._table[1]) == 4000
+    assert radius_module.ORACLE_TABLE_ENTRIES == ORACLE_CHECK_SAMPLES * MAX_DIM == 640_000
+    # The largest check-mode request fills the cap exactly, in 16 bytes an entry.
+    numerical_radius_sampling_oracle(random_complex(rng, MAX_DIM), ORACLE_CHECK_SAMPLES, 0)
+    assert radius_module._table[1].nbytes == 10_240_000
+
+
+def test_a_request_above_the_cap_builds_no_table(fresh_table, monkeypatch):
+    """Above the cap the oracle streams in steps as the seed-array path does,
+    and leaves the table as it was."""
+    monkeypatch.setattr(radius_module, "ORACLE_TABLE_ENTRIES", 1000)
+    rng = np.random.default_rng(6)
+    mat = random_complex(rng, 8)
+    assert numerical_radius_sampling_oracle(mat, 126, 3) == streamed(mat[None], 126, 3)[0]
+    assert radius_module._table is None
+    numerical_radius_sampling_oracle(mat, 125, 3)
+    kept = radius_module._table[1]
+    assert numerical_radius_sampling_oracle(mat, 4000, 3) == streamed(mat[None], 4000, 3)[0]
+    assert radius_module._table[1] is kept
+
+
+def test_threads_sharing_the_table_get_the_streamed_results(fresh_table):
+    """More threads than cores, switching often, each alternating seeds and
+    dims so that the table is replaced while the others read it: every call
+    still returns the streamed value."""
+    rng = np.random.default_rng(8)
+    cases = [(random_complex(rng, n), seed) for n in (16, 2, 4) for seed in (0, 7)]
+    expected = [streamed(mat[None], 2000, seed)[0] for mat, seed in cases]
+    start = threading.Barrier(4)
+
+    def run(shift):
+        start.wait(timeout=60)
+        order = [(i + shift) % len(cases) for i in range(len(cases))] * 3
+        return [(i, numerical_radius_sampling_oracle(cases[i][0], 2000, cases[i][1])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, shift) for shift in range(4)]
+            results = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(result) for result in results] == [3 * len(cases)] * 4
+    assert all(value == expected[i] for result in results for i, value in result)
 
 
 def test_sampling_oracle_agrees_with_einsum_reference():

@@ -9,6 +9,7 @@ from ineqlab import errors
 from ineqlab.vector_ineq import (
     _units,
     angles,
+    buzano_batch,
     buzano_chain,
     cs_refinement_chain,
     krein_triangle,
@@ -253,6 +254,42 @@ def test_angle_chains_reject_a_vector_whose_norm_overflows():
                 call()
         assert krein_triangle(*fine).values == pytest.approx([np.pi / 4, 3 * np.pi / 4], rel=1e-15)
         assert angles(fine[0], fine[2]).psi == pytest.approx(np.pi / 4, rel=1e-15)
+
+
+def test_product_chains_reject_a_vector_whose_norm_overflows():
+    # The squares of 1e200 overflow: buzano warned "overflow encountered in
+    # vecdot" six times, then rejected the term 'inner_product_pair'.
+    big, unit = [1e200, 0.0], [1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error is the only signal
+        for chain in (buzano_chain, lemma21_chain, cs_refinement_chain):
+            for inputs, name in (((big, big, big), "x"), ((unit, unit, big), "z")):
+                with pytest.raises(errors.InvalidInput, match=f"^{name}: norm overflows float64$"):
+                    chain(*inputs)
+        with pytest.raises(errors.InvalidInput, match="^y: norm overflows float64$"):
+            projection_buzano(np.eye(2), unit, [0.0, 1e200])
+        with pytest.raises(errors.InvalidInput, match="^x: norm overflows float64$"):  # |x_0| itself overflows
+            buzano_chain([1.7e308 + 1.7e308j, 0.0], unit, unit)
+        # A stack names the first trial with such a row, then its first such input.
+        xs, zs = np.array([unit, unit, big]), np.array([unit, big, unit])
+        with pytest.raises(errors.InvalidInput, match="^z: norm overflows float64$"):
+            buzano_batch(xs, np.array([unit] * 3), zs)
+
+
+def test_angles_of_a_vector_whose_norm_underflows():
+    # The squares of 1e-200 underflow to zero: angles raised ZeroVector.
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert angles([1e-200, 0.0], [1.0, 0.0]) == angles([1.0, 0.0], [1.0, 0.0])
+        for _ in range(20):
+            x, y = random_vec(rng, 3), random_vec(rng, 3)
+            tiny, plain = angles(1e-200 * x, y), angles(x, y)
+            assert tiny.psi == pytest.approx(plain.psi, rel=1e-14, abs=1e-15)
+            assert tiny.phi == pytest.approx(plain.phi, rel=1e-14, abs=1e-15)
+            assert krein_triangle(1e-300 * x, y, 1e-170j * x).passed
+        with pytest.raises(errors.ZeroVector, match="^x: zero vector"):
+            angles([0.0, 0.0], [1.0, 0.0])
 
 
 def test_psi_infimum_validates_grid():

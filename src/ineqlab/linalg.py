@@ -24,8 +24,9 @@ checked, and :func:`psd_power` applies it to the eigenvalues it factors.
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial: each row is tested and rounded as on its own,
 and a failing stack raises its first failing trial's own error.  Vectors
-follow the same rule (:func:`vector_rows`), beside an operator or not: a 2-D
-ndarray is a ``(trials, d)`` stack, and any other value is one trial's vector.
+follow it too (:func:`vector_rows`), beside an operator or not: a 2-D ndarray
+of any numeric dtype is a complex ``(trials, d)`` stack, any other value is
+one trial's vector, and each norm, taken once, is the exact overflow test.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-10
 PSD_CLAMP_REL = 1e-9
-_SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))  # the largest float whose square is finite
 
 
 # ---------------------------------------------------------------------------
@@ -106,33 +106,34 @@ def as_matrices(value, name: str = "matrix", coerce=as_square_matrix) -> np.ndar
     return per_trial(coerce, value, name) if stacked else coerce(value, name)
 
 
-def vector_rows(*pairs) -> list[np.ndarray]:
-    """The named vectors of ``(name, value)`` pairs as (trials, d) rows of one shape.
+def vector_rows(*pairs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The named vectors of ``(name, value)`` pairs as complex128 (trials, d)
+    rows of one shape, and their :func:`row_norms`.
 
-    A 2-D ndarray is a stack, one row per trial: it goes in as is if numeric,
-    non-empty and finite, and else raises its first failing row's own error
-    (:func:`per_trial`).  Any other value is one trial's :func:`as_vector`.
-    A row whose :func:`row_norms` overflows float64 raises for the first trial
-    with one, naming its first such input, with no warning.
+    A 2-D ndarray of any numeric dtype is a stack, one row per trial; any
+    other value is one trial's :func:`as_vector`.  The first trial with a norm
+    that is not finite raises that row's own error, with no warning: its first
+    input with a NaN or infinite entry, else its first whose norm overflows.
     """
-    rows, suspect = [], False
+    rows = []
     for name, value in pairs:
         if not (isinstance(value, np.ndarray) and value.ndim == 2):
             value = as_vector(value, name)[None]
-        elif not (value.dtype.kind in "biufc" and value.size):
-            value = per_trial(as_vector, value, name)  # raises
-        # Entries below _SQRT_MAX / sqrt(d) keep every sum of squares finite;
-        # a NaN fails the test too, and per_trial raises for its row.
-        if not np.abs(value).max() < _SQRT_MAX / value.shape[-1] ** 0.5:
-            value, suspect = per_trial(as_vector, value, name), True
+        elif value.dtype.kind in "biufc" and value.size:
+            value = value.astype(np.complex128, copy=False)
+        else:
+            per_trial(as_vector, value, name)  # raises
         rows.append((name, value))
     require_same_length(*rows)
-    if suspect:
-        with np.errstate(over="ignore"):
-            over = np.array([row_norms(vec) == np.inf for _, vec in rows])
-        for trial in np.flatnonzero(over.any(axis=0))[:1]:
-            raise InvalidInput(f"{rows[np.argmax(over[:, trial])][0]}: norm overflows float64")
-    return [vec for _, vec in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [row_norms(vec) for _, vec in rows]
+    finite = np.isfinite(norms)
+    if not finite.all():
+        trial = np.argmin(finite.all(axis=0))
+        for name, vec in rows:
+            as_vector(vec[trial], name)  # raises for a NaN or infinite entry
+        raise InvalidInput(f"{rows[np.argmin(finite[:, trial])][0]}: norm overflows float64")
+    return [vec for _, vec in rows], norms
 
 
 def require_same_length(*pairs) -> None:
@@ -160,11 +161,11 @@ def require_operator_on(matrix: np.ndarray, vector: np.ndarray, mname: str, vnam
         raise DimensionMismatch(f"{mname} has shape {matrix.shape} but {vname} has shape {vector.shape}")
 
 
-def vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as (trials, d) rows (:func:`vector_rows`) that ``operator`` acts on."""
-    xv, yv = vector_rows(("x", x), ("y", y))
+def vector_pair(x, y, operator: np.ndarray, opname: str) -> tuple[np.ndarray, ...]:
+    """x and y as (trials, d) rows that ``operator`` acts on, then their norms (:func:`vector_rows`)."""
+    (xv, yv), (nx, ny) = vector_rows(("x", x), ("y", y))
     require_operator_on(operator, xv, opname, "x")
-    return xv, yv
+    return xv, yv, nx, ny
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ one matrix is one trial, and vectors are read as the vector kernels read them
 the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one trial's
 inputs.  The two numerical radii of a trial go into one stacked
 :func:`~ineqlab.radius.numerical_radius` call.  Every kernel validates the
-hypotheses it relies on and raises a typed error when they fail; a stack
-raises the error of its first failing trial.  The one deliberate exception,
+hypotheses it relies on and raises a typed error when they fail, an operator
+over all trials before the vectors, which raise trial by trial; suite runs
+replay a failing stack trial by trial.  The one deliberate exception,
 :func:`remark36_unchecked_batch`, skips the positivity hypothesis so that the
 known counterexample can be reproduced as a genuine violation.
 """
@@ -77,10 +78,10 @@ def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBa
     |<(I-A)x, (I-A)y>| <= ||x|| ||y|| - sqrt(<(2A-A^2)x,x> <(2A-A^2)y,y>).
     """
     sym, _ = require_spectrum(A, 0.0, 2.0, "A", slack=HERMITIAN_TOL)
-    xv, yv = vector_pair(x, y, sym, "A")
+    xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     gap = 2.0 * sym - sym @ sym
     lhs = modulus(inner(xv - matvec(sym, xv), yv - matvec(sym, yv)))
-    rhs = row_norms(xv) * row_norms(yv) - np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv))
+    rhs = nx * ny - np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv))
     return chain_batch("lemma_2A", [("deflated_inner_product", lhs), ("norm_minus_radical", rhs)], tolerance)
 
 
@@ -88,7 +89,7 @@ def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> Chai
     """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
     A - A^2 is at most a quarter of the defect of the identity."""
     sym, spectrum = require_spectrum(A, 0.0, 1.0, "A", slack=HERMITIAN_TOL)
-    xv, yv = vector_pair(x, y, sym, "A")
+    xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     gap = sym - sym @ sym
     # The window lets the spectrum leave [0, 1] by HERMITIAN_TOL, more than
     # the chain's floor absorbs; such a trial takes A - A^2 on its clipped spectrum.
@@ -99,7 +100,7 @@ def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> Chai
         inside_gap = (vectors * (clipped - clipped**2)[..., None, :]) @ adjoint(vectors)
         gap = np.where(outside[..., None, None], inside_gap, gap)
     middle = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv)) - modulus(inner(matvec(gap, xv), yv))
-    cap = (row_norms(xv) * row_norms(yv) - modulus(inner(xv, yv))) / 4.0
+    cap = (nx * ny - modulus(inner(xv, yv))) / 4.0
     terms = [("zero", np.zeros(np.shape(middle))), ("gap_defect", middle), ("quarter_cs_defect", cap)]
     return chain_batch("theorem_gap", terms, tolerance)
 
@@ -111,33 +112,32 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
     any nonzero PSD operator and divides its contribution by ||A||.
     """
     sym, denom = _require_nonzero_psd(A) if scaled else (_require_positive_contraction(A, "A"), 1.0)
-    xv, yv = vector_pair(x, y, sym, "A")
+    xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     radical = np.sqrt(_quad_form(sym, xv) * _quad_form(sym, yv))
     lhs = modulus(inner(xv, yv)) + (radical - modulus(inner(matvec(sym, xv), yv))) / denom
-    terms = [("refined_inner_product", lhs), ("norm_product", row_norms(xv) * row_norms(yv))]
+    terms = [("refined_inner_product", lhs), ("norm_product", nx * ny)]
     return chain_batch("corollary33_scaled" if scaled else "corollary33", terms, tolerance)
 
 
 def corollary35_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano-type bound for a positive contraction in the middle slot."""
     sym = _require_positive_contraction(A, "A")
-    xv, yv = vector_pair(x, y, sym, "A")
+    xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     lhs = modulus(inner(matvec(sym, xv), yv))
-    rhs = 0.5 * (row_norms(xv) * row_norms(yv) + modulus(inner(xv, yv)))
+    rhs = 0.5 * (nx * ny + modulus(inner(xv, yv)))
     return chain_batch("corollary35", [("sandwiched_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 
-def _remark36_terms(norm, mat: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> list[tuple[str, np.ndarray]]:
+def _remark36_terms(norm, mat: np.ndarray, xv, yv, nx, ny) -> list[tuple[str, np.ndarray]]:
     lhs = modulus(inner(matvec(mat, xv), yv))
-    rhs = 0.5 * norm * (modulus(inner(xv, yv)) + row_norms(xv) * row_norms(yv))
+    rhs = 0.5 * norm * (modulus(inner(xv, yv)) + nx * ny)
     return [("operator_inner_product", lhs), ("scaled_buzano_bound", rhs)]
 
 
 def remark36_scaled_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Norm-scaled Buzano bound, valid for nonzero PSD operators only."""
     sym, norm = _require_nonzero_psd(A)
-    xv, yv = vector_pair(x, y, sym, "A")
-    return chain_batch("remark36_scaled", _remark36_terms(norm, sym, xv, yv), tolerance)
+    return chain_batch("remark36_scaled", _remark36_terms(norm, sym, *vector_pair(x, y, sym, "A")), tolerance)
 
 
 def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -147,8 +147,8 @@ def remark36_unchecked_batch(A, x, y, tolerance: ToleranceConfig | None = None) 
     exists so that failure can be demonstrated and asserted on.
     """
     mat = as_matrices(A, "A")
-    xv, yv = vector_pair(x, y, mat, "A")
-    return chain_batch("remark36_counterexample", _remark36_terms(operator_norm(mat), mat, xv, yv), tolerance)
+    terms = _remark36_terms(operator_norm(mat), mat, *vector_pair(x, y, mat, "A"))
+    return chain_batch("remark36_counterexample", terms, tolerance)
 
 
 def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -158,16 +158,15 @@ def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> C
     the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
     """
     mat = _require_nonzero(as_matrices(A, "A"))
-    xv, yv = vector_pair(x, y, mat, "A")
+    xv, yv, nx, ny = vector_pair(x, y, mat, "A")
     polar = polar_decompose(mat)
     half_norm = 0.5 * polar.singular_values[..., 0]
-    nx = row_norms(xv)
     u_on_x = modulus(inner(matvec(polar.unitary, xv), yv))
     rotated = row_norms(matvec(adjoint(polar.unitary), yv))
     terms = [
         ("operator_inner_product", modulus(inner(matvec(mat, xv), yv))),
         ("polar_split_bound", half_norm * (u_on_x + nx * rotated)),
-        ("scaled_buzano_bound", half_norm * (u_on_x + nx * row_norms(yv))),
+        ("scaled_buzano_bound", half_norm * (u_on_x + nx * ny)),
     ]
     return chain_batch("remark36_polar", terms, tolerance)
 

@@ -1,13 +1,12 @@
 """Inner-product inequality chains on vectors, over a leading trial axis.
 
 Each chain is one kernel, ``<chain>_batch``, that returns its terms as
-arrays over the trial axis.  A vector given as a 2-D ndarray is a stack, one
-row per trial; any other value is one trial's vector, checked and given that
-axis by :func:`~ineqlab.linalg.vector_rows`.  The public chain, built at the
-end of the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one
-trial's inputs.  The kernels use only per-row or elementwise operations that
-round as the one-trial Python arithmetic did, so no row depends on the batch
-around it.
+arrays over the trial axis.  Its vectors, as complex (trials, d) rows, and
+their norms come from :func:`~ineqlab.linalg.vector_rows`.  The public chain,
+built at the end of the module by :func:`~ineqlab.chains.one_trial`, is the
+kernel on one trial's inputs.  The kernels use only per-row or elementwise
+operations that round as the one-trial Python arithmetic did, so no row
+depends on the batch around it.
 
 Angle-based checks reject zero vectors (the angle is undefined);
 product-based chains accept them, since every term is still well defined.
@@ -42,8 +41,7 @@ def _units(*pairs) -> list[np.ndarray]:
     norm per row.  A zero row raises for the first trial that has one,
     naming its first such input; a row whose squares underflow takes its
     norm after scaling by its largest entry."""
-    rows = vector_rows(*pairs)
-    norms = [row_norms(vec) for vec in rows]
+    rows, norms = vector_rows(*pairs)
     for trial in np.flatnonzero(np.any([n < _LOW_NORM for n in norms], axis=0)):
         for (name, _), vec, n in zip(pairs, rows, norms):
             require_nonzero_vector(vec[trial], name)
@@ -174,10 +172,10 @@ def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None
     return chain_batch("lin_triangle_refined", terms, tolerance)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a term that overflows fails in chain_batch, by name
 def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
-    x, y, z = vector_rows(("x", x), ("y", y), ("z", z))
-    nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
+    (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
     pair = modulus(inner(x, z)) * modulus(inner(y, z))
     bound = 0.5 * _sq(nz) * (modulus(inner(x, y)) + nx * ny)
     terms = [("inner_product_pair", pair), ("buzano_bound", bound), ("cauchy_schwarz_twice", _sq(nz) * nx * ny)]
@@ -191,6 +189,7 @@ def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
     return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(modulus(i_yz)), 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Four-step chain from a product of inner products up to the Buzano bound.
 
@@ -198,8 +197,7 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     <x,y>||z||^2 - <x,z><z,y>, then by bounding that deviation with the
     Cauchy-Schwarz defect radicals.
     """
-    x, y, z = vector_rows(("x", x), ("y", y), ("z", z))
-    nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
+    (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
     i_xz, i_zy, i_yz, i_xy = inner(x, z), inner(z, y), inner(y, z), inner(x, y)
     pair_mod = modulus(_mul(i_xz, i_yz))
     deviation = modulus(i_xy * _sq(nz) - _mul(i_xz, i_zy))
@@ -210,10 +208,10 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     return chain_batch("lemma21", terms, tolerance)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Cauchy-Schwarz with an intermediate bound through a third vector."""
-    x, y, z = vector_rows(("x", x), ("y", y), ("z", z))
-    nx, ny, nz = row_norms(x), row_norms(y), row_norms(z)
+    (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
     i_xz, i_zy, i_yz = inner(x, z), inner(z, y), inner(y, z)
     split = modulus(i_xz) * modulus(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
     terms = [("inner_product_scaled", modulus(inner(x, y)) * _sq(nz)), ("split_bound", split)]
@@ -224,10 +222,10 @@ def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None 
     """Buzano-type bound for an orthogonal projection applied inside the
     inner product; the projection precondition is enforced."""
     proj = as_matrices(projection, "P")
-    xv, yv = vector_pair(x, y, proj, "P")
+    xv, yv, nx, ny = vector_pair(x, y, proj, "P")
     require_orthogonal_projection(proj, name="P")
     lhs = modulus(inner(matvec(proj, xv), yv))
-    rhs = 0.5 * (modulus(inner(xv, yv)) + row_norms(xv) * row_norms(yv))
+    rhs = 0.5 * (modulus(inner(xv, yv)) + nx * ny)
     return chain_batch("projection_buzano", [("projected_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 

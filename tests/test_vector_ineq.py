@@ -276,6 +276,21 @@ def test_product_chains_reject_a_vector_whose_norm_overflows():
             buzano_batch(xs, np.array([unit] * 3), zs)
 
 
+def test_product_chains_reject_a_term_that_overflows_by_its_name():
+    # Norms of 1e100 are finite, but the degree-4 terms are not: each chain
+    # warned "overflow encountered in multiply" before rejecting the term.
+    big = [1e100, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error is the only signal
+        for chain, message in (
+            (buzano_chain, "buzano: term 'inner_product_pair'"),
+            (lemma21_chain, "lemma21: term 'inner_product_pair'"),
+            (cs_refinement_chain, "cs_refinement: term 'inner_product_scaled'"),
+        ):
+            with pytest.raises(errors.InvalidInput, match=f"^{message} is not finite$"):
+                chain(big, big, big)
+
+
 def test_angles_of_a_vector_whose_norm_underflows():
     # The squares of 1e-200 underflow to zero: angles raised ZeroVector.
     rng = np.random.default_rng(31)

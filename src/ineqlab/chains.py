@@ -1,14 +1,14 @@
-"""Chain-of-terms result types and the shared tolerance policy.
+"""Chain-of-terms result types, the shared tolerance policy, and the one
+door into every chain.
 
 Every inequality checker in this package reduces to the same shape: an
 ordered list of real terms that is claimed to be nondecreasing.  The chain
 verdict lives here, in one function over a leading trial axis
 (:func:`chain_batch`), so that each checker only has to compute its terms.
-Each checker is one batch kernel, which takes one trial's inputs or a stack
-of them: an ndarray with a trial axis (2-D for a vector, 3-D for a matrix)
-is a stack, and any other value is one trial's input.  :func:`one_trial`
-derives its public one-trial chain, the kernel followed by a check that
-there was one trial, and :func:`make_chain` is the verdict's own.
+Each checker is one batch kernel, on one trial's inputs or a stack of them:
+an ndarray with a trial axis (2-D for a vector, 3-D for a matrix) is a
+stack, and any other value is one trial's input.  :func:`kernel` gives each
+its stacked and one-trial forms, and decides how every kernel is entered.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInput
+from .errors import ConvergenceError, IneqLabError, InvalidInput
 
 
 # Largest accepted tolerance: far above the shipped 1e-12/1e-9/1e-8, far
@@ -134,7 +134,7 @@ def chain_batch(
     if not np.isfinite(values).all():
         raise InvalidInput(f"{check_name}: term {labels[np.argwhere(~np.isfinite(values))[0][1]]!r} is not finite")
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCE
-    loose = [np.broadcast_to(r.upper - r.omega > tol.eps_rel_omega * r.omega, len(values)) for r in radii]
+    loose = [~np.broadcast_to(r.upper - r.omega <= tol.eps_rel_omega * r.omega, len(values)) for r in radii]
     if any(flags.any() for flags in loose):
         trial = int(np.argmax(np.any(loose, axis=0)))
         radius = radii[int(np.argmax([flags[trial] for flags in loose]))]
@@ -149,20 +149,49 @@ def chain_batch(
     return ChainBatch(check_name, labels, values, slacks, passed, floor)
 
 
-@functools.cache
-def one_trial(kernel: Callable[..., ChainBatch]) -> Callable[..., ChainResult]:
-    """The one-trial chain of a batch kernel: the kernel on one trial's
-    inputs, then :meth:`ChainBatch.result`, which rejects a stack.  It keeps
-    the kernel's module, name and docstring, and is built once per kernel."""
+def _replay(body, kinds: str, args: tuple, kwargs: dict) -> None:
+    """``body`` on each trial in turn of a stack call (see :func:`kernel`)."""
+    lengths = {
+        len(x) if isinstance(x, np.ndarray) and x.dtype.kind in "biufc" and x.ndim == {"v": 2, "m": 3}[kind] else -1
+        for x, kind in zip(args, kinds)
+    }
+    trials = lengths.pop() if len(lengths) == 1 else -1
+    for t in range(trials):
+        row = [x[t] if i < len(kinds) else x for i, x in enumerate(args)]
+        keywords = {k: v[t] if isinstance(v, np.ndarray) and v.shape[:1] == (trials,) else v for k, v in kwargs.items()}
+        body(*row, **keywords)
 
-    @functools.wraps(kernel)
+
+def kernel(body: Callable[..., ChainBatch], kinds: str) -> tuple[Callable[..., ChainBatch], Callable]:
+    """The stacked kernel and the one-trial chain of a batch kernel ``body``
+    whose leading positional inputs are ``kinds`` (``m`` a matrix, ``v`` a vector).
+
+    Both run ``body`` with overflow and invalid operations silent, so a NaN or
+    infinity shows only as the typed error of the check that meets it.  A
+    stack call (each named input a numeric ndarray with a trial axis, all of
+    one length) that raises runs again trial by trial, keyword ndarrays of
+    that length sliced too, so it raises its first failing trial's own error.
+    The chain adds :meth:`ChainBatch.result`, which rejects a stack.
+    """
+
+    @functools.wraps(body)
+    def stacked(*args, **kwargs) -> ChainBatch:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return body(*args, **kwargs)
+            except IneqLabError:
+                _replay(body, kinds, args, kwargs)
+                raise
+
+    @functools.wraps(stacked)
     def chain(*args, **kwargs) -> ChainResult:
-        return kernel(*args, **kwargs).result()
+        return stacked(*args, **kwargs).result()
 
-    return chain
+    stacked.kinds, stacked.chain = kinds, chain
+    return stacked, chain
 
 
-make_chain = one_trial(chain_batch)
+make_chain = kernel(chain_batch, "")[1]
 
 
 @dataclass

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import operator_ineq as op_ineq
 from . import vector_ineq as vec_ineq
-from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, one_trial
+from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, kernel
 from .ensembles import EnsembleConfig, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
 from .linalg import load_matrix, load_vector, read_json
@@ -64,19 +64,13 @@ class SuiteSpec:
     ``draws`` names the ensemble family of each chain input in the pinned
     draw order; the first one is the suite's family.  ``order`` maps draw
     positions to argument positions where the two differ.  ``kernel`` is the
-    chain's batch kernel: it gets the inputs positionally, with a leading
-    trial axis, then ``tolerance`` and the fixed ``kwargs``, and returns a
-    ``ChainBatch``; check mode runs its :func:`~ineqlab.chains.one_trial`
-    chain.
-
-    Two suites need more than a draw:
-
-    * ``suite_inputs``: suite runs evaluate these fixed inputs on every
-      trial instead of drawing (the counterexample); ``draws`` then only
-      gives the input kinds for check mode.
-    * ``suite_samples``: suite runs draw one extra raw word per trial as the
-      oracle seed and pass an array of them with this sample count in place
-      of ``kwargs``.
+    chain's stacked kernel from :func:`~ineqlab.chains.kernel`: it gets the
+    inputs positionally, then ``tolerance`` and the fixed ``kwargs``; check
+    mode loads a file per letter of its ``kinds`` and runs its ``chain``.
+    Suite runs of two rows need more than a draw: ``suite_inputs`` are fixed
+    inputs for every trial (the counterexample), and with ``suite_samples``
+    one extra raw word per trial is the oracle seed, passed as an array with
+    this sample count in place of ``kwargs``.
     """
 
     name: str
@@ -100,28 +94,17 @@ class SuiteSpec:
 
     def evaluate(self, stream: Stream, dim: int, tol: ToleranceConfig) -> ChainBatch:
         """Draw the inputs of every key of ``stream`` at once and evaluate the
-        kernel: a ChainBatch row per key.  When the kernel raises, the trials
-        go again one by one through its one-trial chain, so that the first
-        failing trial raises its own error."""
-        trials = stream.keys.size
+        kernel: a ChainBatch row per key, or the first failing trial's error."""
         if self.suite_inputs is None:
             inputs = self.arranged([draw(family, stream, dim) for family in self.draws])
         else:
-            inputs = [np.array([value] * trials) for value in self.suite_inputs]
-        seeds = stream.raw(1).reshape(-1) if self.suite_samples is not None else None
-
-        def kwargs(rows):
-            return self.kwargs if seeds is None else {"samples": self.suite_samples, "seed": seeds[rows]}
-
-        try:
-            return self.kernel(*inputs, tolerance=tol, **kwargs(slice(None)))
-        except IneqLabError:
-            for row in range(trials):
-                one_trial(self.kernel)(*[x[row] for x in inputs], tolerance=tol, **kwargs(row))
-            raise
+            inputs = [np.array([value] * stream.keys.size) for value in self.suite_inputs]
+        if self.suite_samples is None:
+            return self.kernel(*inputs, tolerance=tol, **self.kwargs)
+        return self.kernel(*inputs, tolerance=tol, samples=self.suite_samples, seed=stream.raw(1).reshape(-1))
 
 
-def _omega_oracle_batch(matrix, tolerance: ToleranceConfig, samples: int, seed) -> ChainBatch:
+def _omega_oracle_batch(matrix, samples: int, seed, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Cross-check chain: sampled max quadratic form <= omega <= norm, with
     one oracle seed per trial of a stack."""
     oracle = numerical_radius_sampling_oracle(matrix, samples, seed)
@@ -160,8 +143,8 @@ def _build_registry() -> dict[str, SuiteSpec]:
         SuiteSpec("bourin_r1", ("psd", "psd"), op_ineq.bourin_batch, {"power": 1.0}),
         SuiteSpec("bourin_r2", ("psd", "psd"), op_ineq.bourin_batch, {"power": 2.0}),
         omega("final_omega_refinement", ("ginibre",), op_ineq.final_omega_refinement_batch),
-        omega("omega_oracle", ("ginibre",), _omega_oracle_batch, {"samples": ORACLE_CHECK_SAMPLES, "seed": 0},
-              suite_samples=ORACLE_SUITE_SAMPLES),
+        omega("omega_oracle", ("ginibre",), kernel(_omega_oracle_batch, "m")[0],
+              {"samples": ORACLE_CHECK_SAMPLES, "seed": 0}, suite_samples=ORACLE_SUITE_SAMPLES),
         SuiteSpec(
             "remark36_counterexample",
             ginibre_xy,
@@ -446,12 +429,9 @@ def check_single(check_name: str, input_files: Sequence[str]) -> ChainResult:
     caller maps the typed errors to exit codes.
     """
     spec = _suite(check_name)
-    # Unit vectors load as vectors, every other family as a matrix.
-    kinds = ["vector" if family == "unit_vector" else "matrix" for family in spec.arranged(spec.draws)]
+    kinds = spec.kernel.kinds
     if len(input_files) != len(kinds):
-        raise InvalidInput(
-            f"check {check_name!r} expects {len(kinds)} input file(s) "
-            f"({', '.join(kinds)}); got {len(input_files)}"
-        )
-    loaded = [load_vector(path) if kind == "vector" else load_matrix(path) for kind, path in zip(kinds, input_files)]
-    return one_trial(spec.kernel)(*loaded, tolerance=ToleranceConfig(), **spec.kwargs)
+        names = ", ".join("vector" if kind == "v" else "matrix" for kind in kinds)
+        raise InvalidInput(f"check {check_name!r} expects {len(kinds)} input file(s) ({names}); got {len(input_files)}")
+    loaded = [(load_vector if kind == "v" else load_matrix)(path) for kind, path in zip(kinds, input_files)]
+    return spec.kernel.chain(*loaded, tolerance=ToleranceConfig(), **spec.kwargs)

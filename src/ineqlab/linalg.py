@@ -20,13 +20,13 @@ contraction, a spectrum inside ``[low, high]``) is decided by one window
 test, :func:`require_window`: :func:`require_spectrum` applies it and returns
 the symmetrized matrix and its spectrum so callers compute on exactly what was
 checked, and :func:`psd_power` applies it to the eigenvalues it factors.
+Every tolerance test fails on a NaN, such as an overflowed product leaves.
 
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
-d, d)`` stack, exact per trial: each row is tested and rounded as on its own,
-and a failing stack raises its first failing trial's own error.  Vectors
-follow it too (:func:`vector_rows`), beside an operator or not: a 2-D ndarray
-of any numeric dtype is a complex ``(trials, d)`` stack, any other value is
-one trial's vector, and each norm, taken once, is the exact overflow test.
+d, d)`` stack, exact per trial, and a failing stack raises its first failing
+trial's own error.  Vectors follow it too (:func:`vector_rows`): a 2-D
+ndarray of any numeric dtype is a complex ``(trials, d)`` stack, any other
+value is one trial's vector, and each norm, taken once, is the overflow test.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _first_failing(failed, *values) -> list | None:
 
 def require_hermitian(matrix: np.ndarray, name: str = "matrix") -> None:
     dev = hermitian_deviation(matrix)
-    if first := _first_failing(dev > HERMITIAN_TOL, dev):
+    if first := _first_failing(~(dev <= HERMITIAN_TOL), dev):
         raise NotHermitian(f"{name}: max|M - M*| = {first[0]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
 
 
@@ -313,7 +313,7 @@ def require_window(
     if slack is None:
         slack = psd_clamp(eigenvalues)
     bottom, top = eigenvalues.min(axis=-1), eigenvalues.max(axis=-1)
-    if first := _first_failing((bottom < low - slack) | (top > high + slack), bottom, top, slack):
+    if first := _first_failing(~((bottom >= low - slack) & (top <= high + slack)), bottom, top, slack):
         raise error(
             f"{name}: spectrum [{first[0]:.6e}, {first[1]:.6e}] lies outside "
             f"[{low}, {high}] beyond tolerance {first[2]:.3e}"
@@ -347,8 +347,8 @@ def require_orthogonal_projection(matrix, name: str = "matrix") -> np.ndarray:
     mat = as_matrices(matrix, name)
     herm = hermitian_deviation(mat)
     idem = np.abs(mat @ mat - mat).max(axis=(-2, -1))
-    first = _first_failing((herm > HERMITIAN_TOL) | (idem > HERMITIAN_TOL), herm, idem)
-    if first and first[0] > HERMITIAN_TOL:
+    first = _first_failing(~((herm <= HERMITIAN_TOL) & (idem <= HERMITIAN_TOL)), herm, idem)
+    if first and not first[0] <= HERMITIAN_TOL:
         raise NotOrthogonalProjection(f"{name}: not Hermitian to tolerance {HERMITIAN_TOL:.3e}")
     if first:
         raise NotOrthogonalProjection(f"{name}: max|P^2 - P| = {first[1]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")

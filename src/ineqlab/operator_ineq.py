@@ -2,25 +2,22 @@
 numerical-radius product bounds, spectral power bounds, and the closing
 refinement of omega(T) <= ||T||.
 
-Each chain is one kernel, ``<chain>_batch``, on one trial's inputs or on a
-stack of them over a leading trial axis: a 3-D ndarray operator is a stack,
-one matrix is one trial, and vectors are read as the vector kernels read them
-(:func:`~ineqlab.linalg.vector_rows`).  Its public chain, built at the end of
-the module by :func:`~ineqlab.chains.one_trial`, is the kernel on one trial's
-inputs.  The two numerical radii of a trial go into one stacked
+Each chain is one kernel, ``<chain>_batch``, entered through
+:func:`~ineqlab.chains.kernel` at the end of the module, which also gives
+its public one-trial chain.  One matrix is one trial and a 3-D ndarray a
+stack; vectors are read by :func:`~ineqlab.linalg.vector_rows`.  The two
+numerical radii of a trial go into one stacked
 :func:`~ineqlab.radius.numerical_radius` call.  Every kernel validates the
-hypotheses it relies on and raises a typed error when they fail, an operator
-over all trials before the vectors, which raise trial by trial; suite runs
-replay a failing stack trial by trial.  The one deliberate exception,
-:func:`remark36_unchecked_batch`, skips the positivity hypothesis so that the
-known counterexample can be reproduced as a genuine violation.
+hypotheses it relies on and raises a typed error when they fail, except
+:func:`remark36_unchecked_batch`, which skips positivity so that the known
+counterexample can be reproduced as a genuine violation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chains import ChainBatch, ToleranceConfig, chain_batch, one_trial
+from .chains import ChainBatch, ToleranceConfig, chain_batch, kernel
 from .errors import InvalidInput, ZeroOperator
 from .linalg import (
     HERMITIAN_TOL,
@@ -299,16 +296,16 @@ def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) ->
     return chain_batch("final_omega_refinement", terms, tolerance, radii=(radius_t, radius_ur))
 
 
-lemma_2A_chain = one_trial(lemma_2A_batch)
-theorem_gap_chain = one_trial(theorem_gap_batch)
-corollary33_chain = one_trial(corollary33_batch)
-corollary35_chain = one_trial(corollary35_batch)
-remark36_scaled = one_trial(remark36_scaled_batch)
-remark36_scaled_unchecked = one_trial(remark36_unchecked_batch)
-remark36_polar_chain = one_trial(remark36_polar_batch)
-corollary37_chain = one_trial(corollary37_batch)
-corollary38_omega_chain = one_trial(corollary38_omega_batch)
-corollary38_norm_chain = one_trial(corollary38_norm_batch)
-power_chain = one_trial(power_batch)
-bourin_property = one_trial(bourin_batch)
-final_omega_refinement_chain = one_trial(final_omega_refinement_batch)
+lemma_2A_batch, lemma_2A_chain = kernel(lemma_2A_batch, "mvv")
+theorem_gap_batch, theorem_gap_chain = kernel(theorem_gap_batch, "mvv")
+corollary33_batch, corollary33_chain = kernel(corollary33_batch, "mvv")
+corollary35_batch, corollary35_chain = kernel(corollary35_batch, "mvv")
+remark36_scaled_batch, remark36_scaled = kernel(remark36_scaled_batch, "mvv")
+remark36_unchecked_batch, remark36_scaled_unchecked = kernel(remark36_unchecked_batch, "mvv")
+remark36_polar_batch, remark36_polar_chain = kernel(remark36_polar_batch, "mvv")
+corollary37_batch, corollary37_chain = kernel(corollary37_batch, "mm")
+corollary38_omega_batch, corollary38_omega_chain = kernel(corollary38_omega_batch, "mmm")
+corollary38_norm_batch, corollary38_norm_chain = kernel(corollary38_norm_batch, "mmm")
+power_batch, power_chain = kernel(power_batch, "mmm")
+bourin_batch, bourin_property = kernel(bourin_batch, "mm")
+final_omega_refinement_batch, final_omega_refinement_chain = kernel(final_omega_refinement_batch, "m")

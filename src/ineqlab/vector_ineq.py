@@ -1,12 +1,11 @@
 """Inner-product inequality chains on vectors, over a leading trial axis.
 
-Each chain is one kernel, ``<chain>_batch``, that returns its terms as
-arrays over the trial axis.  Its vectors, as complex (trials, d) rows, and
-their norms come from :func:`~ineqlab.linalg.vector_rows`.  The public chain,
-built at the end of the module by :func:`~ineqlab.chains.one_trial`, is the
-kernel on one trial's inputs.  The kernels use only per-row or elementwise
-operations that round as the one-trial Python arithmetic did, so no row
-depends on the batch around it.
+Each chain is one kernel, ``<chain>_batch``, entered through
+:func:`~ineqlab.chains.kernel` at the end of the module, which also gives
+its public one-trial chain.  Its vectors, as complex (trials, d) rows, and
+their norms come from :func:`~ineqlab.linalg.vector_rows`.  The kernels use
+only per-row or elementwise operations that round as the one-trial Python
+arithmetic did, so no row depends on the batch around it.
 
 Angle-based checks reject zero vectors (the angle is undefined);
 product-based chains accept them, since every term is still well defined.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, one_trial
+from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, kernel
 from .errors import InvalidInput
 from .linalg import (
     as_matrices,
@@ -81,13 +80,11 @@ def _psi_of_units(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def angles(x, y) -> AngleResult:
-    """Both angle notions between nonzero vectors.
+    """Both angle notions between nonzero vectors (see :class:`AngleResult`).
 
-    psi uses the modulus of the inner product and lands in [0, pi/2]; phi
-    uses the real part and lands in [0, pi].  The angles themselves are
-    evaluated through :func:`_unit_angle` rather than acos, so the reported
-    psi or phi can disagree with acos of the reported cosine by about one
-    ulp near the endpoints, in the angle's favor.
+    The angles are evaluated through :func:`_unit_angle` rather than acos, so
+    the reported psi or phi can disagree with acos of the reported cosine by
+    about one ulp near the endpoints, in the angle's favor.
     """
     u, w = _units(("x", as_vector(x, "x")), ("y", as_vector(y, "y")))
     ip = complex(inner(u, w)[0])
@@ -172,7 +169,6 @@ def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None
     return chain_batch("lin_triangle_refined", terms, tolerance)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a term that overflows fails in chain_batch, by name
 def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
     (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
@@ -189,7 +185,6 @@ def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
     return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(modulus(i_yz)), 0.0))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Four-step chain from a product of inner products up to the Buzano bound.
 
@@ -208,7 +203,6 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     return chain_batch("lemma21", terms, tolerance)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Cauchy-Schwarz with an intermediate bound through a third vector."""
     (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
@@ -229,10 +223,10 @@ def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None 
     return chain_batch("projection_buzano", [("projected_inner_product", lhs), ("buzano_bound", rhs)], tolerance)
 
 
-psi_infimum_property = one_trial(psi_infimum_batch)
-krein_triangle = one_trial(krein_triangle_batch)
-lin_triangle_refined = one_trial(lin_triangle_refined_batch)
-buzano_chain = one_trial(buzano_batch)
-lemma21_chain = one_trial(lemma21_batch)
-cs_refinement_chain = one_trial(cs_refinement_batch)
-projection_buzano = one_trial(projection_buzano_batch)
+psi_infimum_batch, psi_infimum_property = kernel(psi_infimum_batch, "vv")
+krein_triangle_batch, krein_triangle = kernel(krein_triangle_batch, "vvv")
+lin_triangle_refined_batch, lin_triangle_refined = kernel(lin_triangle_refined_batch, "vvv")
+buzano_batch, buzano_chain = kernel(buzano_batch, "vvv")
+lemma21_batch, lemma21_chain = kernel(lemma21_batch, "vvv")
+cs_refinement_batch, cs_refinement_chain = kernel(cs_refinement_batch, "vvv")
+projection_buzano_batch, projection_buzano = kernel(projection_buzano_batch, "mvv")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ineqlab.chains import MAX_TOLERANCE, ToleranceConfig, make_chain
-from ineqlab.errors import ConvergenceError, InvalidInput
+from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
+from ineqlab.errors import ConvergenceError, IneqLabError, InvalidInput
+from ineqlab.harness import REGISTRY
 from ineqlab.radius import RadiusResult
 
 
@@ -53,6 +55,8 @@ def test_radii_make_chain_omega_grade_and_check_certificate():
     loose = radius_with_upper(1.0, 1.0 + 2.0 * tol.eps_rel_omega)
     with pytest.raises(ConvergenceError):
         make_chain("demo", terms, tol, radii=(fitted, loose))
+    with pytest.raises(ConvergenceError):  # an upper bound that is NaN certifies nothing
+        make_chain("demo", terms, tol, radii=(radius_with_upper(1.0, np.nan),))
 
 
 def test_make_chain_rejects_degenerate_input():
@@ -78,3 +82,34 @@ def test_tolerance_rejects_non_finite_and_absurd_values():
         with pytest.raises(InvalidInput):
             ToleranceConfig(eps_rel=bad)
     assert ToleranceConfig(eps_rel_omega=MAX_TOLERANCE).eps_rel_omega == MAX_TOLERANCE
+
+
+# Every row at dim 3, with one input, all its vectors or all its inputs scaled
+# far past the square root of the largest float: an overflow inside a kernel
+# shows only as a typed error, and a chain it does not stop still holds.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_inputs_scaled_to_overflow_raise_typed_errors_and_no_warning(name):
+    spec = REGISTRY[name]
+    stream = trial_stream(EnsembleConfig(spec.family, 3, 5, 1), np.arange(1))
+    drawn = spec.arranged([draw(family, stream, 3) for family in spec.draws])
+    vectors = {i for i, kind in enumerate(spec.kernel.kinds) if kind == "v"}
+    for scale in (1e100, 1e160, 1e200, 1e300):
+        for scaled in [{i} for i in range(len(drawn))] + [vectors, set(range(len(drawn)))]:
+            inputs = [scale * block if i in scaled else block for i, block in enumerate(drawn)]
+            try:
+                batch = spec.kernel(*inputs, **spec.kwargs)
+            except IneqLabError:
+                continue
+            assert spec.expect_violation or batch.passed.all(), (scale, scaled)
+
+
+def test_kernels_declare_their_inputs_and_share_one_chain_form():
+    for spec in REGISTRY.values():
+        kinds = ["v" if family == "unit_vector" else "m" for family in spec.arranged(spec.draws)]
+        assert spec.kernel.kinds == "".join(kinds)
+        assert spec.kernel.chain.__wrapped__ is spec.kernel
+    matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # The oracle row takes tolerance=None like every other kernel.
+    oracle = REGISTRY["omega_oracle"]
+    assert oracle.kernel.chain(matrix, **oracle.kwargs).passed

@@ -11,6 +11,7 @@ import pytest
 import ineqlab
 from ineqlab.chains import chain_batch
 from ineqlab.cli import main
+from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.harness import REGISTRY, SuiteSpec
 from ineqlab.linalg import matrix_to_json_dict, vector_to_json_dict
 
@@ -214,12 +215,25 @@ def test_check_dimension_mismatch_exit(tmp_path):
         assert main(["check", name, "--in", *inputs]) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_of_finite_inputs_whose_products_overflow_exits_two(tmp_path, capsys):
     a = matrix_file(tmp_path, "a.json", np.eye(2))
     big = matrix_file(tmp_path, "big.json", 1e200 * np.eye(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["check", "corollary38_norm", "--in", a, big, big]) == 2
+    assert main(["check", "corollary38_norm", "--in", a, big, big]) == 2
     assert "contains NaN or infinite entries" in capsys.readouterr().err
+    half, x = matrix_file(tmp_path, "half.json", 0.5 * np.eye(2)), vector_file(tmp_path, "x.json", [1e100, 0.0])
+    assert main(["check", "lemma_2A", "--in", half, x, x]) == 2
+    assert "term 'norm_minus_radical' is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_of_a_projection_whose_square_overflows_exits_three(tmp_path, capsys):
+    # The projection draw at dim 3, seed 5, trial 0, scaled: P @ P is NaN.
+    projection = draw("projection", trial_stream(EnsembleConfig("projection", 3, 5, 1), np.arange(1)), 3)[0]
+    p = matrix_file(tmp_path, "p.json", 1e160 * projection)
+    x = vector_file(tmp_path, "x.json", [1.0, 0.0, 0.0])
+    assert main(["check", "projection_buzano", "--in", p, x, x]) == 3
+    assert "P: max|P^2 - P| = nan exceeds tolerance" in capsys.readouterr().err
 
 
 def test_check_theorem_gap_never_fails_an_input_its_window_accepts(tmp_path, capsys):

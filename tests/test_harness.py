@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ineqlab import errors, harness, operator_ineq, vector_ineq
-from ineqlab.chains import ToleranceConfig, chain_batch, one_trial
+from ineqlab.chains import ToleranceConfig, chain_batch
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.harness import (
     REGISTRY,
@@ -476,7 +476,7 @@ def test_public_chains_are_the_one_trial_chains_of_registry_kernels():
         if not name.startswith("_") and getattr(value, "__wrapped__", None) in kernels
     ]
     assert len(public) == 20
-    assert all(one_trial(chain.__wrapped__) is chain for chain in public)
+    assert all(chain.__wrapped__.chain is chain for chain in public)
 
 
 @pytest.mark.parametrize("name", suite_names())

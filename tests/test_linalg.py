@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ineqlab import errors
+from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.linalg import (
     as_matrices,
     as_matrix,
@@ -410,6 +411,20 @@ def test_require_orthogonal_projection():
         require_orthogonal_projection(np.diag([1.0, 0.5]))
     with pytest.raises(errors.NotOrthogonalProjection):
         require_orthogonal_projection([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_tolerance_test_fails_on_nan():
+    # A NaN compares False with every bound, so a test written as "fail when
+    # above the bound" let one pass: 1e160 * P squares to NaN entries.
+    projection = draw("projection", trial_stream(EnsembleConfig("projection", 3, 5, 1), np.arange(1)), 3)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert first_error(require_orthogonal_projection, 1e160 * projection) == (
+            errors.NotOrthogonalProjection, "matrix: max|P^2 - P| = nan exceeds tolerance 1.000e-10")
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    assert first_error(require_hermitian, nan)[0] is errors.NotHermitian
+    assert first_error(lambda m: require_window(np.diag(m), 0.0, 1.0), nan)[0] is errors.SpectrumOutOfRange
+    assert first_error(lambda m: require_window(np.diag(m), 0.0, 1.0, slack=0.0), nan)[0] is errors.SpectrumOutOfRange
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ineqlab.chains import ToleranceConfig, one_trial  # noqa: E402
+from ineqlab.chains import ToleranceConfig  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
 from ineqlab.errors import IneqLabError  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
@@ -139,7 +139,7 @@ def test_omega_kernel_rows_equal_one_trial_chain(name, data):
     spec, inputs, kwargs = _suite_inputs(name, data)
     batch = spec.kernel(*inputs, tolerance=ToleranceConfig(), **kwargs(slice(None)))
     for t in range(len(inputs[0])):
-        row = one_trial(spec.kernel)(*[block[t] for block in inputs], tolerance=ToleranceConfig(), **kwargs(t))
+        row = spec.kernel.chain(*[block[t] for block in inputs], tolerance=ToleranceConfig(), **kwargs(t))
         assert batch.result(t) == row
         assert _bits(batch.values[t]) == _bits(row.values)
         assert _bits(batch.slacks[t]) == _bits(row.slacks)
@@ -156,7 +156,7 @@ def test_omega_kernel_raises_the_first_uncertified_trials_error(name, data):
     spec, inputs, kwargs = _suite_inputs(name, data)
     tight = ToleranceConfig(eps_rel_omega=1e-17)
     rows = [
-        _outcome(one_trial(spec.kernel), *[block[t] for block in inputs], tolerance=tight, **kwargs(t))
+        _outcome(spec.kernel.chain, *[block[t] for block in inputs], tolerance=tight, **kwargs(t))
         for t in range(len(inputs[0]))
     ]
     failures = [row for row in rows if isinstance(row, tuple)]

@@ -12,6 +12,7 @@ from ineqlab.operator_ineq import (
     bourin_property,
     contraction_builder,
     corollary33_chain,
+    corollary35_batch,
     corollary35_chain,
     corollary37_chain,
     corollary38_norm_chain,
@@ -377,13 +378,26 @@ BIG = 1e200 * np.eye(2)
     ],
     ids=["corollary37", "corollary38_omega", "corollary38_norm", "power_r2", "bourin_r2", "final_omega_refinement"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs):
     # The finiteness check on each product a kernel builds is the guard here:
     # without it the overflowed product reaches LAPACK, which can raise
     # LinAlgError (SVD did not converge), or a term comes out non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(errors.InvalidInput, match="contains NaN or infinite entries"):
-            chain(*inputs)
+    with pytest.raises(errors.InvalidInput, match="contains NaN or infinite entries"):
+        chain(*inputs)
+
+
+def test_a_stack_raises_its_first_failing_trials_error_whichever_input_fails():
+    # A NaN in x's row 0 and a non-Hermitian A in row 2.  The kernel checks
+    # the operator over all trials before the vectors, so the stacked call
+    # meets row 2's error first; the trial-by-trial replay finds row 0's.
+    stack, x, y = np.stack([0.5 * np.eye(2)] * 3), np.ones((3, 2)), np.ones((3, 2))
+    stack[2, 0, 1] = 1e-6
+    x[0, 0] = np.nan
+    with pytest.raises(errors.InvalidInput, match="^x: contains NaN or infinite entries$"):
+        corollary35_batch(stack, x, y)
+    with pytest.raises(errors.NotHermitian):
+        corollary35_batch(stack[1:], x[1:], y[1:])
 
 
 @pytest.mark.parametrize(

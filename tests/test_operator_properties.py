@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from ineqlab.chains import ToleranceConfig, one_trial  # noqa: E402
+from ineqlab.chains import ToleranceConfig  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
 from ineqlab.errors import DimensionMismatch, IneqLabError, InvalidInput  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
@@ -136,7 +136,7 @@ def test_one_trial_chain_rejects_a_stack(name):
     inputs = spec.arranged([draw(family, stream, 3) for family in spec.draws])
     message = f"{name}: expected one trial's inputs, got a stack of 2"
     with pytest.raises(InvalidInput) as raised:
-        one_trial(spec.kernel)(*inputs, tolerance=ToleranceConfig(), **spec.kwargs)
+        spec.kernel.chain(*inputs, tolerance=ToleranceConfig(), **spec.kwargs)
     assert (type(raised.value), str(raised.value)) == (InvalidInput, message)
 
 
@@ -168,7 +168,7 @@ def test_batch_rows_equal_one_trial_chain_bit_for_bit(name, data):
         row, position, kind = fault
         drawn[position][row] = {**FAULTS, **VECTOR_FAULTS}[kind](drawn[position][row])
     inputs = spec.arranged(drawn)
-    rows = [_outcome(one_trial(spec.kernel), *[block[t] for block in inputs], **spec.kwargs) for t in range(trials)]
+    rows = [_outcome(spec.kernel.chain, *[block[t] for block in inputs], **spec.kwargs) for t in range(trials)]
     failures = [row for row in rows if isinstance(row, tuple)]
     if failures:
         error, message = failures[0]
@@ -203,7 +203,7 @@ def test_kernel_raises_the_first_failing_rows_error(name, kind, error):
     drawn[0][1] = FAULTS[kind](drawn[0][1])
     drawn[0][3] = FAULTS[kind](FAULTS[kind](drawn[0][3]))
     inputs = spec.arranged(drawn)
-    expected = _outcome(one_trial(spec.kernel), *[block[1] for block in inputs], **spec.kwargs)
+    expected = _outcome(spec.kernel.chain, *[block[1] for block in inputs], **spec.kwargs)
     assert expected[0].__name__ == error
     with pytest.raises(expected[0]) as raised:
         spec.kernel(*inputs, **spec.kwargs)

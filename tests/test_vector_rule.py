@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from ineqlab.chains import one_trial
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
 from ineqlab.errors import IneqLabError, InvalidInput
 from ineqlab.harness import REGISTRY
@@ -35,7 +34,7 @@ def _outcome(kernel, spec, drawn):
 @pytest.mark.parametrize("name", VECTOR_ROWS)
 def test_vectors_follow_one_rule_beside_any_operator(name):
     spec = REGISTRY[name]
-    chain = one_trial(spec.kernel)
+    chain = spec.kernel.chain
     vectors = [i for i, family in enumerate(spec.draws) if family == "unit_vector"]
 
     # A (1, d) ndarray row beside one matrix is one trial: the 1-D result, bit for bit.
@@ -77,7 +76,7 @@ def test_real_and_integer_stacks_give_the_one_trial_rows(name):
     # is.  Real stacks used to round apart from the one-trial chain, and
     # integer stacks summed int64 squares, which wrap above about 3e9.
     spec = REGISTRY[name]
-    chain = one_trial(spec.kernel)
+    chain = spec.kernel.chain
     vectors = [i for i, family in enumerate(spec.draws) if family == "unit_vector"]
     drawn = _draws(spec, 50)
     for real in (lambda v: v.real, lambda v: np.rint(4e9 * v.real).astype(np.int64)):
@@ -96,7 +95,7 @@ def test_faults_in_two_vector_inputs_raise_trial_by_trial(name):
     drawn = _draws(spec, 3)
     drawn[vectors[0]][2, 0] = np.nan
     drawn[vectors[1]][0, 0] = np.nan
-    expected = _outcome(one_trial(spec.kernel), spec, [block[0] for block in drawn])
+    expected = _outcome(spec.kernel.chain, spec, [block[0] for block in drawn])
     assert expected[0] is InvalidInput
     assert _outcome(spec.kernel, spec, drawn) == expected
 

@@ -121,28 +121,26 @@ def chain_batch(
 ) -> ChainBatch:
     """The verdict on labeled terms, each an array over the trial axis.
 
-    Values must be finite reals, and a chain needs at least two terms.  A
-    non-finite value raises for the first trial with one, naming its term.
-    ``radii`` holds the :class:`~ineqlab.radius.RadiusResult` (per trial) of
-    every numerical radius in the terms; a chain with any is omega-grade, and
-    the first trial with a radius not certified to ``eps_rel_omega`` raises.
+    Values must be finite reals, and a chain needs at least two terms; the
+    first term with a non-finite value raises.  ``radii`` holds the
+    :class:`~ineqlab.radius.RadiusResult` (per trial) of every numerical radius
+    in the terms; a chain with any is omega-grade, and the first radius not
+    certified to ``eps_rel_omega`` raises.  :func:`kernel` picks the trial.
     """
     if len(terms) < 2:
         raise InvalidInput(f"{check_name}: a chain needs at least two terms")
     labels = tuple(label for label, _ in terms)
     values = np.array([value for _, value in terms], dtype=np.float64).T.reshape(-1, len(labels))
-    if not np.isfinite(values).all():
-        raise InvalidInput(f"{check_name}: term {labels[np.argwhere(~np.isfinite(values))[0][1]]!r} is not finite")
+    if not (finite := np.isfinite(values).all(axis=0)).all():
+        raise InvalidInput(f"{check_name}: term {labels[np.argmin(finite)]!r} is not finite")
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCE
-    loose = [~np.broadcast_to(r.upper - r.omega <= tol.eps_rel_omega * r.omega, len(values)) for r in radii]
-    if any(flags.any() for flags in loose):
-        trial = int(np.argmax(np.any(loose, axis=0)))
-        radius = radii[int(np.argmax([flags[trial] for flags in loose]))]
-        omega, upper = (float(np.broadcast_to(v, len(values))[trial]) for v in (radius.omega, radius.upper))
-        raise ConvergenceError(
-            f"{check_name}: numerical radius {omega!r} is certified only up to "
-            f"{upper!r}, beyond eps_rel_omega={tol.eps_rel_omega:g}"
-        )
+    for r in radii:
+        if (loose := ~np.ravel(r.upper - r.omega <= tol.eps_rel_omega * r.omega)).any():
+            omega, upper = (float(np.ravel(v)[np.argmax(loose)]) for v in (r.omega, r.upper))
+            raise ConvergenceError(
+                f"{check_name}: numerical radius {omega!r} is certified only up to "
+                f"{upper!r}, beyond eps_rel_omega={tol.eps_rel_omega:g}"
+            )
     floor = tol.slack_floor(values, bool(radii))
     slacks = values[:, 1:] - values[:, :-1]
     passed = (slacks >= -floor[:, None]).all(axis=1)
@@ -162,26 +160,30 @@ def _replay(body, kinds: str, args: tuple, kwargs: dict) -> None:
         body(*row, **keywords)
 
 
+# The one floating-point rule (a reentrant decorator) of every kernel, numerical_radius and angles.
+door = np.errstate(over="ignore", invalid="ignore")
+
+
 def kernel(body: Callable[..., ChainBatch], kinds: str) -> tuple[Callable[..., ChainBatch], Callable]:
     """The stacked kernel and the one-trial chain of a batch kernel ``body``
     whose leading positional inputs are ``kinds`` (``m`` a matrix, ``v`` a vector).
 
-    Both run ``body`` with overflow and invalid operations silent, so a NaN or
-    infinity shows only as the typed error of the check that meets it.  A
-    stack call (each named input a numeric ndarray with a trial axis, all of
-    one length) that raises runs again trial by trial, keyword ndarrays of
-    that length sliced too, so it raises its first failing trial's own error.
-    The chain adds :meth:`ChainBatch.result`, which rejects a stack.
+    Both run ``body`` through ``door``: overflow and invalid operations are
+    silent, so a NaN shows only as the typed error of the check that meets it.
+    A stack call (each named input a numeric ndarray with a trial axis, all of
+    one length) that raises runs again trial by trial, keyword ndarrays of that
+    length sliced too, so it raises its first failing trial's own error.  The
+    chain adds :meth:`ChainBatch.result`, which rejects a stack.
     """
+    quiet = door(body)
 
     @functools.wraps(body)
     def stacked(*args, **kwargs) -> ChainBatch:
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                return body(*args, **kwargs)
-            except IneqLabError:
-                _replay(body, kinds, args, kwargs)
-                raise
+        try:
+            return quiet(*args, **kwargs)
+        except IneqLabError:
+            _replay(quiet, kinds, args, kwargs)
+            raise
 
     @functools.wraps(stacked)
     def chain(*args, **kwargs) -> ChainResult:

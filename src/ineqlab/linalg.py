@@ -24,9 +24,9 @@ Every tolerance test fails on a NaN, such as an overflowed product leaves.
 
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial, and a failing stack raises its first failing
-trial's own error.  Vectors follow it too (:func:`vector_rows`): a 2-D
-ndarray of any numeric dtype is a complex ``(trials, d)`` stack, any other
-value is one trial's vector, and each norm, taken once, is the overflow test.
+trial's own error.  Vectors take the same shapes (:func:`vector_rows`), and
+each norm, taken once, is their overflow test.  These helpers keep numpy's
+warnings; the door of :func:`~ineqlab.chains.kernel` silences them in a chain.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def vector_rows(*pairs) -> tuple[list[np.ndarray], list[np.ndarray]]:
     rows of one shape, and their :func:`row_norms`.
 
     A 2-D ndarray of any numeric dtype is a stack, one row per trial; any
-    other value is one trial's :func:`as_vector`.  The first trial with a norm
-    that is not finite raises that row's own error, with no warning: its first
-    input with a NaN or infinite entry, else its first whose norm overflows.
+    other value is one trial's :func:`as_vector`.  The first input with a norm
+    that is not finite raises ``norm overflows float64``; a stack's failing
+    trial, and a NaN row's own message, come from :func:`~ineqlab.chains.kernel`.
     """
     rows = []
     for name, value in pairs:
@@ -125,14 +125,9 @@ def vector_rows(*pairs) -> tuple[list[np.ndarray], list[np.ndarray]]:
             per_trial(as_vector, value, name)  # raises
         rows.append((name, value))
     require_same_length(*rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [row_norms(vec) for _, vec in rows]
-    finite = np.isfinite(norms)
-    if not finite.all():
-        trial = np.argmin(finite.all(axis=0))
-        for name, vec in rows:
-            as_vector(vec[trial], name)  # raises for a NaN or infinite entry
-        raise InvalidInput(f"{rows[np.argmin(finite[:, trial])][0]}: norm overflows float64")
+    norms = [row_norms(vec) for _, vec in rows]
+    if bad := [name for (name, _), norm in zip(rows, norms) if not np.isfinite(norm).all()]:
+        raise InvalidInput(f"{bad[0]}: norm overflows float64")
     return [vec for _, vec in rows], norms
 
 

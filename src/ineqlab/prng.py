@@ -41,10 +41,7 @@ def mix64(value):
     entry of a uint64 array."""
     if isinstance(value, np.ndarray):
         return _mix64_array(value)
-    z = value & _MASK
-    z = ((z ^ (z >> 30)) * MIX_1) & _MASK
-    z = ((z ^ (z >> 27)) * MIX_2) & _MASK
-    return z ^ (z >> 31)
+    return int(_mix64_array(np.array([value & _MASK], dtype=np.uint64))[0])
 
 
 def derive_key(master_seed: int, index):

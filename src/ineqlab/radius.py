@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import door
 from .ensembles import MAX_DIM
 from .errors import InvalidInput
 from .linalg import adjoint, as_matrices, inner, matvec, modulus, operator_norm, row_norms
@@ -214,12 +215,17 @@ def _normalize_witness_phase(vectors: np.ndarray) -> np.ndarray:
     return vectors * (np.conj(pivot) / modulus(pivot))
 
 
+@door
 def numerical_radius(matrix) -> RadiusResult:
     """Numerical radius of a square matrix by the polished level set above; of
     each trial of a (trials, n, n) stack, with every field then per trial."""
     mats = as_matrices(matrix)
     stack = mats.reshape(-1, *mats.shape[-2:])
     norm = np.asarray(operator_norm(stack))
+    # Past a norm of 2^±500 the polish's squares leave float64: scale by 2^-power (normal); other rows untouched.
+    power = np.where(np.abs(exponent := np.frexp(norm)[1]) > 500, exponent.clip(-1021, 1021), 0)
+    stack = np.where(power[:, None, None] != 0, stack * np.ldexp(1.0, -power)[:, None, None], stack)
+    scale, norm = np.ldexp(1.0, power), norm * np.ldexp(1.0, -power)
     omega, angle, start, upper = np.zeros(len(stack)), np.zeros(len(stack)), np.zeros(len(stack)), norm.copy()
     witness = np.eye(1, stack.shape[-1], dtype=np.complex128).repeat(len(stack), axis=0)
     h0, k0 = _hermitian_parts(stack)
@@ -240,7 +246,7 @@ def numerical_radius(matrix) -> RadiusResult:
         rows = rows[~np.isnan(start[rows])]
     rows = np.flatnonzero(upper == norm)
     upper[rows] = _certified_upper(stack[rows], omega[rows], norm[rows], _CERTIFY_DELTAS[1])
-    fields = (np.minimum(omega, norm), np.mod(angle, 2.0 * np.pi), witness, norm, upper)
+    fields = (np.minimum(omega, norm) * scale, np.mod(angle, 2.0 * np.pi), witness, norm * scale, upper * scale)
     if mats.ndim == 3:
         return RadiusResult(*fields)
     return RadiusResult(*(field[0] if field.ndim > 1 else float(field[0]) for field in fields))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, kernel
+from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, door, kernel
 from .errors import InvalidInput
 from .linalg import (
     as_matrices,
@@ -37,16 +37,14 @@ _LOW_NORM = np.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 
 def _units(*pairs) -> list[np.ndarray]:
     """Named vectors (see :func:`~ineqlab.linalg.vector_rows`) scaled to unit
-    norm per row.  A zero row raises for the first trial that has one,
-    naming its first such input; a row whose squares underflow takes its
-    norm after scaling by its largest entry."""
+    norm per row.  The first input with a zero row raises; a row whose
+    squares underflow takes its norm after scaling by its largest entry."""
     rows, norms = vector_rows(*pairs)
-    for trial in np.flatnonzero(np.any([n < _LOW_NORM for n in norms], axis=0)):
-        for (name, _), vec, n in zip(pairs, rows, norms):
+    for (name, _), vec, n in zip(pairs, rows, norms):
+        for trial in np.flatnonzero(n < _LOW_NORM):
             require_nonzero_vector(vec[trial], name)
-            if n[trial] < _LOW_NORM:
-                scale = np.abs(vec[trial]).max()
-                n[trial] = scale * row_norms(vec[trial] / scale)
+            scale = np.abs(vec[trial]).max()
+            n[trial] = scale * row_norms(vec[trial] / scale)
     return [vec / n[:, None] for vec, n in zip(rows, norms)]
 
 
@@ -79,6 +77,7 @@ def _psi_of_units(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _unit_angle(u * np.conj(phase)[:, None], w)
 
 
+@door
 def angles(x, y) -> AngleResult:
     """Both angle notions between nonzero vectors (see :class:`AngleResult`).
 

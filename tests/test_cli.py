@@ -278,6 +278,25 @@ def test_omega_command(tmp_path, capsys):
     assert doc["witness"]["cols"] == 1
 
 
+def test_omega_of_a_matrix_whose_squares_overflow_exits_zero_with_warnings_as_errors(tmp_path):
+    # 1e160 times the ginibre draw (dim 3, seed 5, trial 0): the radius polish
+    # warned "overflow encountered in square", and under -W error the command
+    # died with a traceback and exit 1.
+    matrix = draw("ginibre", trial_stream(EnsembleConfig("ginibre", 3, 5, 1), np.arange(1)), 3)[0]
+    path = matrix_file(tmp_path, "t.json", 1e160 * matrix)
+    src = os.path.dirname(os.path.dirname(ineqlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    command = ["-m", "ineqlab.cli", "omega", "--in", path]
+    plain, strict = (
+        subprocess.run([sys.executable, *flags, *command], env=env, capture_output=True, text=True)
+        for flags in ([], ["-W", "error::RuntimeWarning"])
+    )
+    assert (plain.returncode, strict.returncode, strict.stderr) == (0, 0, "")
+    assert strict.stdout == plain.stdout
+    doc = json.loads(plain.stdout)
+    assert doc["omega"] <= doc["upper"] <= doc["operator_norm"]
+
+
 def test_omega_error_paths(tmp_path):
     assert main(["omega", "--in", str(tmp_path / "missing.json")]) == 2
     wide = matrix_file(tmp_path, "wide.json", [[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])

@@ -65,6 +65,20 @@ def test_radius_scaling_homogeneity():
         assert scaled == pytest.approx(abs(c) * base, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+@pytest.mark.parametrize("power", [-600, 500, 600, 1000, 1020])
+def test_radius_scales_exactly_past_the_squares_range(power, dim):
+    # From 2^512 on, the polish's squares overflowed: it warned, and omega
+    # drifted from 2^k times the unscaled one by up to 8e-13 relative.
+    stack = draw("ginibre", trial_stream(EnsembleConfig("ginibre", dim, 5, 4), np.arange(4)), dim)
+    for matrix in (stack[0], stack):
+        base, scaled = numerical_radius(matrix), numerical_radius(2.0**power * matrix)
+        for field in ("omega", "upper", "norm"):
+            np.testing.assert_allclose(getattr(scaled, field) / 2.0**power, getattr(base, field), rtol=1e-14, atol=0)
+        assert np.all(scaled.omega <= scaled.upper) and np.all(scaled.upper <= scaled.norm)
+
+
 def test_radius_sandwich_bounds():
     rng = np.random.default_rng(12)
     for n in (2, 3, 4, 8):

@@ -88,16 +88,19 @@ def test_real_and_integer_stacks_give_the_one_trial_rows(name):
 
 @pytest.mark.parametrize("name", VECTOR_ROWS)
 def test_faults_in_two_vector_inputs_raise_trial_by_trial(name):
-    # A NaN in row 2 of the first vector input and in row 0 of the second:
-    # the stack raises row 0's error, as the one-trial chain on row 0 does.
+    # A NaN in row 2 of the first vector input, and in row 0 of the second a
+    # NaN or entries of 1e200, whose norm overflows: the stack raises row 0's
+    # error, as the one-trial chain on row 0 does.
     spec = REGISTRY[name]
     vectors = [i for i, family in enumerate(spec.draws) if family == "unit_vector"]
-    drawn = _draws(spec, 3)
-    drawn[vectors[0]][2, 0] = np.nan
-    drawn[vectors[1]][0, 0] = np.nan
-    expected = _outcome(spec.kernel.chain, spec, [block[0] for block in drawn])
-    assert expected[0] is InvalidInput
-    assert _outcome(spec.kernel, spec, drawn) == expected
+    faults = [((0, 0), np.nan, "y: contains NaN or infinite entries"), (0, 1e200, "y: norm overflows float64")]
+    for index, fault, message in faults:
+        drawn = _draws(spec, 3)
+        drawn[vectors[0]][2, 0] = np.nan
+        drawn[vectors[1]][index] = fault
+        expected = _outcome(spec.kernel.chain, spec, [block[0] for block in drawn])
+        assert expected == (InvalidInput, message)
+        assert _outcome(spec.kernel, spec, drawn) == expected
 
 
 def test_an_integer_stack_whose_squares_wrap_int64_evaluates():

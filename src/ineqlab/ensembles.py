@@ -35,6 +35,10 @@ class EnsembleConfig:
     trials: int
 
     def __post_init__(self):
+        for key, attr in (("dim", "dim"), ("trials", "trials"), ("seed", "master_seed")):
+            if not isinstance(value := getattr(self, attr), (int, np.integer)) or isinstance(value, bool):
+                raise InvalidInput(f"{key} must be an integer")
+            object.__setattr__(self, attr, int(value))  # a numpy integer breaks the seed mix and the JSON report
         _require_family(self.family)
         if not (1 <= self.dim <= MAX_DIM):
             raise InvalidInput(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")

@@ -13,9 +13,9 @@ axis; a chunk draws each input in one call, and the kernel takes it whole.
 Every number is the one-trial evaluation's, whatever chunks or jobs.
 
 One suite is special: ``remark36_counterexample`` evaluates a bound on a
-fixed non-PSD operator where the bound genuinely fails.  That suite counts
-as passing only when the violation is reproduced exactly (slack -1/2), and
-its violations are excluded from the process exit code.
+fixed non-PSD operator at the entry's dim, where the bound genuinely fails.
+That suite passes only when the violation is reproduced exactly (slack
+-1/2), and its violations are excluded from the process exit code.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ COUNTEREXAMPLE_TOL = 1e-12
 # chunk (a (TRIAL_CHUNK, 64, 64) complex stack is 8 MB).
 TRIAL_CHUNK = 128
 
-_COUNTEREXAMPLE_A = [[0.0, 1.0], [0.0, 0.0]]
-_COUNTEREXAMPLE_X = [0.0, 1.0]
-_COUNTEREXAMPLE_Y = [1.0, 0.0]
-
 
 # ---------------------------------------------------------------------------
 # registry
@@ -67,10 +63,10 @@ class SuiteSpec:
     chain's stacked kernel from :func:`~ineqlab.chains.kernel`: it gets the
     inputs positionally, then ``tolerance`` and the fixed ``kwargs``; check
     mode loads a file per letter of its ``kinds`` and runs its ``chain``.
-    Suite runs of two rows need more than a draw: ``suite_inputs`` are fixed
-    inputs for every trial (the counterexample), and with ``suite_samples``
-    one extra raw word per trial is the oracle seed, passed as an array with
-    this sample count in place of ``kwargs``.
+    Suite runs of two rows need more than a draw: ``suite_inputs`` maps the
+    entry's dim to fixed inputs for every trial (the counterexample), and with
+    ``suite_samples`` one extra raw word per trial is the oracle seed, passed
+    as an array with this sample count in place of ``kwargs``.
     """
 
     name: str
@@ -81,7 +77,7 @@ class SuiteSpec:
     expect_violation: bool = False
     default_dim: int = 4
     default_trials: int = 500
-    suite_inputs: tuple | None = None
+    suite_inputs: Callable[[int], tuple] | None = None
     suite_samples: int | None = None
 
     @property
@@ -98,7 +94,7 @@ class SuiteSpec:
         if self.suite_inputs is None:
             inputs = self.arranged([draw(family, stream, dim) for family in self.draws])
         else:
-            inputs = [np.array([value] * stream.keys.size) for value in self.suite_inputs]
+            inputs = [np.array([value] * stream.keys.size) for value in self.suite_inputs(dim)]
         if self.suite_samples is None:
             return self.kernel(*inputs, tolerance=tol, **self.kwargs)
         return self.kernel(*inputs, tolerance=tol, samples=self.suite_samples, seed=stream.raw(1).reshape(-1))
@@ -111,6 +107,14 @@ def _omega_oracle_batch(matrix, samples: int, seed, tolerance: ToleranceConfig |
     radius = numerical_radius(matrix)
     terms = [("sampling_oracle_max", oracle), ("omega_sweep", radius.omega), ("operator_norm", radius.norm)]
     return chain_batch("omega_oracle", terms, tolerance, radii=(radius,))
+
+
+def _counterexample_inputs(dim: int) -> tuple:
+    """A = e1 e2*, x = e2 and y = e1 at ``dim``: A is not PSD, and the bound fails by 1/2."""
+    if dim < 2:
+        raise InvalidInput(f"remark36_counterexample: dim must be at least 2, got {dim}")
+    e1, e2 = np.eye(dim)[:2]
+    return np.outer(e1, e2), e2, e1
 
 
 def _build_registry() -> dict[str, SuiteSpec]:
@@ -152,7 +156,7 @@ def _build_registry() -> dict[str, SuiteSpec]:
             expect_violation=True,
             default_dim=2,
             default_trials=1,
-            suite_inputs=(_COUNTEREXAMPLE_A, _COUNTEREXAMPLE_X, _COUNTEREXAMPLE_Y),
+            suite_inputs=_counterexample_inputs,
         ),
     ]
     return {spec.name: spec for spec in specs}
@@ -306,9 +310,6 @@ def _parse_entry(entry) -> tuple[SuiteSpec, EnsembleConfig]:
     spec = _suite(entry.get("suite"), entry.get("family"))
     dim, trials = entry.get("dim", spec.default_dim), entry.get("trials", spec.default_trials)
     seed = entry["seed"] if "seed" in entry else derive_entry_seed(spec.name, dim)
-    for key, value in (("dim", dim), ("trials", trials), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidInput(f"{key} must be an integer")
     family = entry.get("family", spec.family)  # an explicit null reaches EnsembleConfig and is rejected
     return spec, EnsembleConfig(family=family, dim=dim, master_seed=seed, trials=trials)
 

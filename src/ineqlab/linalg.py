@@ -25,7 +25,7 @@ Every tolerance test fails on a NaN, such as an overflowed product leaves.
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial, and a failing stack raises its first failing
 trial's own error.  Vectors take the same shapes (:func:`vector_rows`), and
-each norm, taken once, is their overflow test.  These helpers keep numpy's
+each norm, taken once, is their one test.  These helpers keep numpy's
 warnings; the door of :func:`~ineqlab.chains.kernel` silences them in a chain.
 """
 
@@ -112,8 +112,9 @@ def vector_rows(*pairs) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
     A 2-D ndarray of any numeric dtype is a stack, one row per trial; any
     other value is one trial's :func:`as_vector`.  The first input with a norm
-    that is not finite raises ``norm overflows float64``; a stack's failing
-    trial, and a NaN row's own message, come from :func:`~ineqlab.chains.kernel`.
+    that is not finite raises: its first NaN or infinite row with the
+    :func:`as_vector` message, else ``norm overflows float64``.  A stack's
+    failing trial comes from :func:`~ineqlab.chains.kernel`.
     """
     rows = []
     for name, value in pairs:
@@ -126,8 +127,10 @@ def vector_rows(*pairs) -> tuple[list[np.ndarray], list[np.ndarray]]:
         rows.append((name, value))
     require_same_length(*rows)
     norms = [row_norms(vec) for _, vec in rows]
-    if bad := [name for (name, _), norm in zip(rows, norms) if not np.isfinite(norm).all()]:
-        raise InvalidInput(f"{bad[0]}: norm overflows float64")
+    for (name, vec), norm in zip(rows, norms):
+        if not np.isfinite(norm).all():
+            per_trial(as_vector, vec, name)  # a NaN or infinite entry raises its own message
+            raise InvalidInput(f"{name}: norm overflows float64")
     return [vec for _, vec in rows], norms
 
 
@@ -225,9 +228,8 @@ def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
     symmetrized before factorization so that roundoff in the caller cannot
     leak into the result.
     """
-    values, vectors = np.linalg.eigh(_symmetrized(matrix, name))
-    order = np.argsort(values, axis=-1)[..., None, ::-1]
-    return EigenDecomposition(np.take_along_axis(values, order[..., 0, :], -1), np.take_along_axis(vectors, order, -1))
+    values, vectors = np.linalg.eigh(_symmetrized(matrix, name))  # ascending
+    return EigenDecomposition(values[..., ::-1], vectors[..., ::-1])
 
 
 def operator_norm(matrix):
@@ -361,7 +363,7 @@ def matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def modulus(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)  # rounds as Python's abs(complex)
+    return np.hypot(z.real, z.imag)  # with np.abs, 7 operator rows miss their one-matrix references
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

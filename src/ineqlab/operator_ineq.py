@@ -66,7 +66,7 @@ def _require_nonzero_psd(matrix, name: str = "A") -> tuple[np.ndarray, np.ndarra
 def _quad_form(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Re<Mv, v>, clamped at zero; used only where M is PSD up to rounding."""
     value = inner(matvec(matrix, vector), vector).real
-    return np.where(value < 0.0, 0.0, value)  # Python's max(value, 0.0): keeps -0.0 and NaN
+    return np.where(value < 0.0, 0.0, value)  # not np.maximum, which turns -0.0 into +0.0
 
 
 def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -236,7 +236,7 @@ def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
     mod_t_2r = psd_power(adjoint(mat_t) @ mat_t, r, "T*T")
     mod_s_adj_2r = psd_power(mat_s @ adjoint(mat_s), r, "SS*")
-    # Python's float power, row by row: numpy's power rounds some rows differently.
+    # Python's float power, row by row: with numpy's ** r, power_r3's row-equals-chain test fails.
     sat_r, st_r = (np.array([omega**r for omega in radius.omega.tolist()]) for radius in (radius_sat, radius_st))
     bound = 0.25 * hermitian_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * st_r
     terms = [("omega_sandwich_power", sat_r), ("moduli_power_bound", bound)]

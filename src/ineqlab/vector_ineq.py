@@ -4,8 +4,8 @@ Each chain is one kernel, ``<chain>_batch``, entered through
 :func:`~ineqlab.chains.kernel` at the end of the module, which also gives
 its public one-trial chain.  Its vectors, as complex (trials, d) rows, and
 their norms come from :func:`~ineqlab.linalg.vector_rows`.  The kernels use
-only per-row or elementwise operations that round as the one-trial Python
-arithmetic did, so no row depends on the batch around it.
+only per-row or elementwise operations, so no row depends on the batch
+around it.
 
 Angle-based checks reject zero vectors (the angle is undefined);
 product-based chains accept them, since every term is still well defined.
@@ -46,15 +46,6 @@ def _units(*pairs) -> list[np.ndarray]:
             scale = np.abs(vec[trial]).max()
             n[trial] = scale * row_norms(vec[trial] / scale)
     return [vec / n[:, None] for vec, n in zip(rows, norms)]
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex product rounded as Python's (numpy's own loop may fuse)."""
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-def _sq(x: np.ndarray) -> np.ndarray:
-    return np.float_power(x, 2.0)  # Python's x**2 (C pow); x*x differs in ~0.1% of cases
 
 
 def _unit_angle(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -162,7 +153,7 @@ def lin_triangle_refined_batch(x, y, z, tolerance: ToleranceConfig | None = None
     # product-to-sum difference of cosines.
     near = np.sin(0.5 * (p_xy + p_xz - p_zy)) * np.sin(0.5 * (p_xy - p_xz + p_zy))
     far = np.sin(0.5 * (p_xy + p_xz + p_zy)) * np.sin(0.5 * (p_xz + p_zy - p_xy))
-    one_minus_g = 2.0 * _sq(np.sin(0.5 * p_xy)) + 2.0 * np.minimum(near, far)
+    one_minus_g = 2.0 * np.sin(0.5 * p_xy) ** 2 + 2.0 * np.minimum(near, far)
     middle = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(np.maximum(one_minus_g, 0.0) / 2.0)))
     terms = [("psi_xy", p_xy), ("refined_bound", middle), ("psi_xz_plus_psi_zy", p_xz + p_zy)]
     return chain_batch("lin_triangle_refined", terms, tolerance)
@@ -172,16 +163,16 @@ def buzano_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatc
     """Buzano's inequality and the doubled Cauchy-Schwarz bound above it."""
     (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
     pair = modulus(inner(x, z)) * modulus(inner(y, z))
-    bound = 0.5 * _sq(nz) * (modulus(inner(x, y)) + nx * ny)
-    terms = [("inner_product_pair", pair), ("buzano_bound", bound), ("cauchy_schwarz_twice", _sq(nz) * nx * ny)]
+    bound = 0.5 * nz**2 * (modulus(inner(x, y)) + nx * ny)
+    terms = [("inner_product_pair", pair), ("buzano_bound", bound), ("cauchy_schwarz_twice", nz**2 * nx * ny)]
     return chain_batch("buzano", terms, tolerance)
 
 
 def _defect_radical(nx, ny, nz, i_xz, i_yz) -> np.ndarray:
     """Product of the Cauchy-Schwarz defect radicals of (x, z) and (y, z),
     each radicand clamped at zero against rounding dips."""
-    x_side = np.maximum(_sq(nx) * _sq(nz) - _sq(modulus(i_xz)), 0.0)
-    return np.sqrt(x_side) * np.sqrt(np.maximum(_sq(ny) * _sq(nz) - _sq(modulus(i_yz)), 0.0))
+    x_side = np.maximum(nx**2 * nz**2 - modulus(i_xz) ** 2, 0.0)
+    return np.sqrt(x_side) * np.sqrt(np.maximum(ny**2 * nz**2 - modulus(i_yz) ** 2, 0.0))
 
 
 def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBatch:
@@ -193,12 +184,12 @@ def lemma21_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> ChainBat
     """
     (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
     i_xz, i_zy, i_yz, i_xy = inner(x, z), inner(z, y), inner(y, z), inner(x, y)
-    pair_mod = modulus(_mul(i_xz, i_yz))
-    deviation = modulus(i_xy * _sq(nz) - _mul(i_xz, i_zy))
-    base = pair_mod + modulus(i_xy) * _sq(nz)
+    pair_mod = modulus(i_xz * i_yz)
+    deviation = modulus(i_xy * nz**2 - i_xz * i_zy)
+    base = pair_mod + modulus(i_xy) * nz**2
     radical = 0.5 * (base + _defect_radical(nx, ny, nz, i_xz, i_yz))
-    terms = [("inner_product_pair", modulus(_mul(i_xz, i_zy))), ("triangle_split", 0.5 * (base + deviation))]
-    terms += [("defect_radical_bound", radical), ("buzano_bound", 0.5 * _sq(nz) * (nx * ny + modulus(i_xy)))]
+    terms = [("inner_product_pair", modulus(i_xz * i_zy)), ("triangle_split", 0.5 * (base + deviation))]
+    terms += [("defect_radical_bound", radical), ("buzano_bound", 0.5 * nz**2 * (nx * ny + modulus(i_xy)))]
     return chain_batch("lemma21", terms, tolerance)
 
 
@@ -207,8 +198,8 @@ def cs_refinement_batch(x, y, z, tolerance: ToleranceConfig | None = None) -> Ch
     (x, y, z), (nx, ny, nz) = vector_rows(("x", x), ("y", y), ("z", z))
     i_xz, i_zy, i_yz = inner(x, z), inner(z, y), inner(y, z)
     split = modulus(i_xz) * modulus(i_zy) + _defect_radical(nx, ny, nz, i_xz, i_yz)
-    terms = [("inner_product_scaled", modulus(inner(x, y)) * _sq(nz)), ("split_bound", split)]
-    return chain_batch("cs_refinement", terms + [("cauchy_schwarz", _sq(nz) * nx * ny)], tolerance)
+    terms = [("inner_product_scaled", modulus(inner(x, y)) * nz**2), ("split_bound", split)]
+    return chain_batch("cs_refinement", terms + [("cauchy_schwarz", nz**2 * nx * ny)], tolerance)
 
 
 def projection_buzano_batch(projection, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:

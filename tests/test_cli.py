@@ -124,6 +124,7 @@ def test_run_config_error_paths(tmp_path, capsys):
         ["run", "--config", str(bad)],
         ["run", "--config", zero],
         ["run", "--suite", "buzano", "--dim", "100"],
+        ["run", "--suite", "remark36_counterexample", "--dim", "1", "--out", str(tmp_path / "r1.json")],
         ["run", "--suite", "buzano", "--out", str(tmp_path / "no_such_dir" / "r.json")],
     ):
         assert main(argv) == 2

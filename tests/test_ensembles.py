@@ -22,6 +22,20 @@ def test_config_validation():
         EnsembleConfig(family="ginibre", dim=65, master_seed=0, trials=10)
     with pytest.raises(InvalidInput):
         EnsembleConfig(family="ginibre", dim=4, master_seed=0, trials=0)
+    # Integers only, checked before the family: each of these reached run_suite.
+    for key, args in (
+        ("dim", ("ginibre", 4.0, 0, 10)),
+        ("trials", ("ginibre", 4, 0, 10.0)),
+        ("seed", ("ginibre", 4, 1.5, 10)),
+        ("dim", ("laplace", True, 0, 10)),
+    ):
+        with pytest.raises(InvalidInput, match=rf"^{key} must be an integer$"):
+            EnsembleConfig(*args)
+    # Numpy integers are read as Python ints: an int64 seed broke the key mix.
+    cfg = EnsembleConfig("ginibre", np.int64(4), np.int64(7), np.int32(10))
+    assert cfg == EnsembleConfig("ginibre", 4, 7, 10)
+    assert all(type(value) is int for value in (cfg.dim, cfg.master_seed, cfg.trials))
+    assert draw("ginibre", trial_stream(cfg, 3), cfg.dim).shape == (4, 4)
 
 
 def test_trial_index_range_enforced():

@@ -106,6 +106,26 @@ def test_counterexample_suite_reproduces_violation():
     assert suite_outcome_ok(spec, report)
 
 
+def test_counterexample_suite_evaluates_at_its_entry_dim():
+    # The kernel gets the operator and vectors at the dim the report states,
+    # not the 2x2 instance at every dim; below dim 2 there is no e2.
+    spec = REGISTRY["remark36_counterexample"]
+    shapes = []
+
+    def recording_kernel(*inputs, **kwargs):
+        shapes.append([np.shape(value) for value in inputs])
+        return spec.kernel(*inputs, **kwargs)
+
+    recording = replace(spec, kernel=recording_kernel)
+    for dim in (2, 5, 16):
+        stream = trial_stream(EnsembleConfig(spec.family, dim, 3, 4), np.arange(4))
+        batch = recording.evaluate(stream, dim, ToleranceConfig())
+        assert shapes[-1] == [(4, dim, dim), (4, dim), (4, dim)]
+        assert (batch.slacks == -0.5).all() and not batch.passed.any()
+    with pytest.raises(errors.InvalidInput, match=r"^remark36_counterexample: dim must be at least 2, got 1$"):
+        run_suite(spec.name, EnsembleConfig(spec.family, 1, 3, 1))
+
+
 def test_ordinary_suite_with_violation_is_not_ok(failing_suite):
     ensemble = EnsembleConfig(family="ginibre", dim=2, master_seed=0, trials=2)
     report = run_suite("always_fails", ensemble)
@@ -244,6 +264,9 @@ def test_derive_entry_seed_is_stable():
         lambda doc: doc["suites"][0].update(seed=-1),
         lambda doc: doc["suites"][0].update(seed=2**64),
         lambda doc: doc.update(tolerance={"eps_abs": "1e-12"}),
+        lambda doc: doc.update(tolerance=[1e-12]),
+        lambda doc: doc["suites"].append("buzano"),
+        lambda doc: [doc],
     ],
 )
 def test_parse_config_rejects_bad_documents(mutate):
@@ -251,7 +274,7 @@ def test_parse_config_rejects_bad_documents(mutate):
         "suites": [{"suite": "buzano", "dim": 3, "trials": 5, "seed": 1}],
         "output": "r.json",
     }
-    mutate(doc)
+    doc = mutate(doc) or doc  # a mutation returns a whole document or edits this one
     with pytest.raises(errors.InvalidInput):
         parse_config(doc)
 
@@ -260,6 +283,8 @@ def test_parse_config_errors_name_the_entry():
     doc = {"suites": [{"suite": "buzano"}, {"suite": "buzano", "dim": 100}]}
     with pytest.raises(errors.InvalidInput, match=r"^config: suites\[1\]: "):
         parse_config(doc)
+    with pytest.raises(errors.InvalidInput, match=r"^config: suites\[0\]: seed must be an integer$"):
+        parse_config({"suites": [{"suite": "buzano", "seed": 1.5}]})
 
 
 def test_parse_config_fills_defaults():
@@ -489,7 +514,7 @@ def test_check_single_replays_suite_trials(tmp_path, name):
         for trial in range(ensemble.trials):
             suite = spec.evaluate(trial_stream(ensemble, np.array([trial])), dim, tol).result()
             if spec.suite_inputs is not None:
-                inputs = spec.suite_inputs
+                inputs = spec.suite_inputs(dim)
             else:
                 stream = trial_stream(ensemble, trial)
                 drawn = [draw(family, stream, dim) for family in spec.draws]

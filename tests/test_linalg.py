@@ -30,10 +30,12 @@ from ineqlab.linalg import (
     require_spectrum,
     require_window,
     vector_from_json_dict,
+    vector_rows,
     vector_to_json_dict,
 )
 from ineqlab.operator_ineq import bourin_property, corollary35_batch
 from ineqlab.radius import numerical_radius
+from ineqlab.vector_ineq import projection_buzano_batch
 
 
 def random_complex(rng, *shape):
@@ -370,6 +372,19 @@ def test_vectors_beside_a_stack_raise_the_one_vector_message(value):
     assert first_error(lambda v: corollary35_batch(stack, v, y), value) == one_vector
 
 
+def test_a_vector_stack_names_a_nan_row_as_non_finite_not_as_overflow():
+    # One P beside 3-row stacks gives the door no trial count to replay, so
+    # vector_rows itself must tell a NaN row from a norm that overflows.
+    calls = (lambda x: projection_buzano_batch(np.eye(3), x, np.ones((3, 3))), lambda x: vector_rows(("x", x)))
+    faults = (([1.0, np.nan, 0.0], "contains NaN or infinite entries"), ([1e200] * 3, "norm overflows float64"))
+    for row, message in faults:
+        x = np.ones((3, 3))
+        x[1] = row
+        for call in calls:
+            with np.errstate(over="ignore"):
+                assert first_error(call, x) == (errors.InvalidInput, f"x: {message}")
+
+
 def test_a_stack_of_no_trials_is_rejected_by_name():
     empty = np.zeros((0, 3, 3))
     for check in (operator_norm, hermitian_norm, numerical_radius, as_matrices):
@@ -462,6 +477,8 @@ def test_json_rejects_malformed_documents():
         matrix_from_json_dict([1, 2, 3])
     with pytest.raises(errors.InvalidInput):
         vector_from_json_dict({"rows": 2, "cols": 2, "re": [[1.0, 2.0], [3.0, 4.0]]})
+    with pytest.raises(errors.InvalidInput, match="malformed entry arrays"):
+        matrix_from_json_dict({"rows": 1, "cols": 2, "re": [[1.0, "a"]]})
 
 
 def test_vector_files_take_flat_or_nested_columns():

@@ -294,6 +294,20 @@ def test_singular_leading_coefficient_falls_back_to_second_centre(monkeypatch):
     assert np.isposinf(_crossing_angles(t[None], np.array([1.25]), _CERTIFY_TOL)).all()
 
 
+def test_a_stack_with_one_singular_leading_coefficient_solves_row_by_row():
+    # At level 5/8, row 0 is diag(1, 2) / 2 of the test above: singular at
+    # the first centre, so the stacked solve fails and each row is solved alone.
+    stack = np.array([np.diag([0.5, 1.0]), np.diag([0.3, 1.0])], dtype=complex)
+    levels = np.array([0.625, 0.625])
+    angles = _crossing_angles(stack, levels, _CERTIFY_TOL)
+    rows = [_crossing_angles(stack[t : t + 1], levels[t : t + 1], _CERTIFY_TOL)[0] for t in range(2)]
+    assert angles.tobytes() == np.array(rows).tobytes()
+    expected = np.sort(np.mod([math.acos(0.625), -math.acos(0.625)], 2.0 * np.pi))
+    for row in angles:
+        assert np.allclose(row[:2], expected, rtol=0.0, atol=1e-12)
+        assert np.isnan(row[2:]).all()
+
+
 def einsum_sampling_oracle(matrix, samples, seed):
     """The one-matrix oracle that the stacked one replaced: blocks of 4096
     samples and the 3-operand einsum, kept as the reference."""

@@ -18,7 +18,7 @@ HEADER = (
 
 def _row(name, spec) -> str:
     """One table row: the terms come from one seeded draw at the default dim
-    (the counterexample evaluates its fixed inputs)."""
+    (the counterexample evaluates its fixed inputs at that dim)."""
     tolerance = ToleranceConfig()
     stream = trial_stream(EnsembleConfig(spec.family, spec.default_dim, 0, 1), np.arange(1))
     batch = spec.evaluate(stream, spec.default_dim, tolerance)

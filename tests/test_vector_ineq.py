@@ -11,9 +11,11 @@ from ineqlab.vector_ineq import (
     angles,
     buzano_batch,
     buzano_chain,
+    cs_refinement_batch,
     cs_refinement_chain,
     krein_triangle,
     krein_triangle_batch,
+    lemma21_batch,
     lemma21_chain,
     lin_triangle_refined,
     lin_triangle_refined_batch,
@@ -475,6 +477,14 @@ def test_vector_chains_read_an_ndarray_with_a_trial_axis_as_a_stack():
     for chain in (buzano_chain, lemma21_chain, cs_refinement_chain, krein_triangle, lin_triangle_refined):
         assert bits(chain(x[None], y[None], z[None])) == bits(chain(x, y, z))
     assert bits(psi_infimum_property(x[None], y[None])) == bits(psi_infimum_property(x, y))
+    # A 37-row stack, wider than any SIMD loop, gives every row its one-trial result.
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 37, 1))
+    stacks = [scale * random_vec(rng, (37, 5)) for scale in scales]
+    kernels = [(buzano_batch, buzano_chain), (lemma21_batch, lemma21_chain)]
+    kernels += [(cs_refinement_batch, cs_refinement_chain), (lin_triangle_refined_batch, lin_triangle_refined)]
+    for kernel, chain in kernels:
+        batch = kernel(*stacks)
+        assert [bits(batch.result(t)) for t in range(37)] == [bits(chain(*[s[t] for s in stacks])) for t in range(37)]
     # Three (d, 1) ndarray columns are a stack of d one-entry trials.
     with pytest.raises(errors.InvalidInput, match=r"^buzano: expected one trial's inputs, got a stack of 3$"):
         buzano_chain(x[:, None], y[:, None], z[:, None])

@@ -1,6 +1,8 @@
 """Numerical verification lab for inner-product, operator-norm and
 numerical-radius inequality chains over seeded random ensembles."""
 
+from types import ModuleType as _Module
+
 from .chains import AngleResult, ChainResult, ToleranceConfig, make_chain
 from .ensembles import FAMILIES, EnsembleConfig, draw, trial_stream
 from .errors import (
@@ -74,69 +76,5 @@ from .vector_ineq import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleResult",
-    "ChainResult",
-    "ConvergenceError",
-    "DimensionMismatch",
-    "EigenDecomposition",
-    "EnsembleConfig",
-    "FAMILIES",
-    "IneqLabError",
-    "InvalidInput",
-    "NotHermitian",
-    "NotOrthogonalProjection",
-    "NotPositiveSemidefinite",
-    "PolarDecomposition",
-    "PreconditionError",
-    "REGISTRY",
-    "RadiusResult",
-    "SpectrumOutOfRange",
-    "SuiteReport",
-    "SuiteSpec",
-    "ToleranceConfig",
-    "ZeroOperator",
-    "ZeroVector",
-    "angles",
-    "bourin_property",
-    "buzano_chain",
-    "check_single",
-    "contraction_builder",
-    "corollary33_chain",
-    "corollary35_chain",
-    "corollary37_chain",
-    "corollary38_norm_chain",
-    "corollary38_omega_chain",
-    "cs_refinement_chain",
-    "default_config",
-    "draw",
-    "final_omega_refinement_chain",
-    "hermitian_eigen",
-    "is_positive_contraction",
-    "krein_triangle",
-    "lemma21_chain",
-    "lemma_2A_chain",
-    "lin_triangle_refined",
-    "make_chain",
-    "matrix_from_json_dict",
-    "matrix_to_json_dict",
-    "numerical_radius",
-    "numerical_radius_sampling_oracle",
-    "operator_norm",
-    "polar_decompose",
-    "power_chain",
-    "projection_buzano",
-    "psd_power",
-    "psd_sqrt",
-    "psi_infimum_property",
-    "remark36_polar_chain",
-    "remark36_scaled",
-    "remark36_scaled_unchecked",
-    "run_all",
-    "run_suite",
-    "suite_names",
-    "theorem_gap_chain",
-    "trial_stream",
-    "vector_from_json_dict",
-    "vector_to_json_dict",
-]
+# The public names are the ones imported above: no private name and no submodule.
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module)))

@@ -18,10 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import adjoint, row_norms
+from .linalg import adjoint, row_norms, spectral
 from .prng import Stream, derive_key
 
 MAX_DIM = 64
+
+
+def as_integer(value, name: str) -> int:
+    """The package's integer rule: an int or numpy integer, as an int; a bool, a float or a string raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer")
+    return int(value)  # a numpy integer breaks the seed mix and the JSON report
+
+
+def as_integers(value, name: str):
+    """:func:`as_integer` of one value, or an ndarray of an integer dtype as it is (0-d: its one int)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return value if value.ndim else int(value)
+    return as_integer(value, name)
 
 
 @dataclass(frozen=True)
@@ -36,9 +50,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         for key, attr in (("dim", "dim"), ("trials", "trials"), ("seed", "master_seed")):
-            if not isinstance(value := getattr(self, attr), (int, np.integer)) or isinstance(value, bool):
-                raise InvalidInput(f"{key} must be an integer")
-            object.__setattr__(self, attr, int(value))  # a numpy integer breaks the seed mix and the JSON report
+            object.__setattr__(self, attr, as_integer(getattr(self, attr), key))
         _require_family(self.family)
         if not (1 <= self.dim <= MAX_DIM):
             raise InvalidInput(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
@@ -52,6 +64,7 @@ class EnsembleConfig:
 def trial_stream(cfg: EnsembleConfig, trial_index) -> Stream:
     """Fresh generator for one trial, or for an array of trials (one key
     each, see :class:`ineqlab.prng.Stream`); rejects out-of-range indices."""
+    trial_index = as_integers(trial_index, "trial_index")
     indices = trial_index if isinstance(trial_index, np.ndarray) else [trial_index]
     if not all(0 <= index < cfg.trials for index in indices):
         raise InvalidInput(
@@ -96,24 +109,18 @@ def draw_unitary(stream: Stream, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _spectral(v: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Symmetrized V diag(spectrum) V* of each trial."""
-    m = (v * spectrum.reshape(v.shape[0], 1, -1)) @ adjoint(v)
-    return 0.5 * (m + adjoint(m))
-
-
 def draw_positive_contraction(stream: Stream, dim: int) -> np.ndarray:
     """V diag(u) V* with u uniform in [0,1): order is dim^2 Gaussians for the
     unitary V, then dim uniforms for the spectrum."""
     v = draw_unitary(stream, dim)
-    return _spectral(v, stream.uniforms(dim))
+    return spectral(v, stream.uniforms(dim))
 
 
 def draw_projection(stream: Stream, dim: int) -> np.ndarray:
     """V diag(bits) V*: order is dim^2 Gaussians for V, then dim uniforms
     thresholded at 1/2 for the 0/1 pattern.  Rank 0 and rank dim can occur."""
     v = draw_unitary(stream, dim)
-    return _spectral(v, (stream.uniforms(dim) < 0.5).astype(np.float64))
+    return spectral(v, (stream.uniforms(dim) < 0.5).astype(np.float64))
 
 
 def draw_unit_vector(stream: Stream, dim: int) -> np.ndarray:

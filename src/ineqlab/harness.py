@@ -32,7 +32,7 @@ import numpy as np
 from . import operator_ineq as op_ineq
 from . import vector_ineq as vec_ineq
 from .chains import ChainBatch, ChainResult, ToleranceConfig, chain_batch, kernel
-from .ensembles import EnsembleConfig, draw, trial_stream
+from .ensembles import EnsembleConfig, as_integer, draw, trial_stream
 from .errors import IneqLabError, InvalidInput
 from .linalg import load_matrix, load_vector, read_json
 from .prng import Stream
@@ -217,7 +217,7 @@ def run_suite(
     a thread pool and merge in trial order, so no number depends on jobs.
     """
     spec = _suite(suite_name, ensemble.family)
-    if jobs < 1:
+    if (jobs := as_integer(jobs, "jobs")) < 1:
         raise InvalidInput(f"jobs must be at least 1, got {jobs}")
     tolerance = tol if tol is not None else ToleranceConfig()
     starts = range(0, ensemble.trials, TRIAL_CHUNK)

@@ -21,6 +21,8 @@ test, :func:`require_window`: :func:`require_spectrum` applies it and returns
 the symmetrized matrix and its spectrum so callers compute on exactly what was
 checked, and :func:`psd_power` applies it to the eigenvalues it factors.
 Every tolerance test fails on a NaN, such as an overflowed product leaves.
+Every matrix rebuilt from a factorization, V diag(values) V*, is
+:func:`spectral`'s.
 
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial, and a failing stack raises its first failing
@@ -42,6 +44,7 @@ from .errors import (
     NotHermitian,
     NotOrthogonalProjection,
     NotPositiveSemidefinite,
+    PreconditionError,
     SpectrumOutOfRange,
     ZeroVector,
 )
@@ -244,6 +247,12 @@ def hermitian_norm(matrix):
     return np.abs(np.linalg.eigvalsh(as_matrices(matrix))).max(axis=-1)
 
 
+def spectral(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Symmetrized V diag(values) V* of one matrix, or of each trial of a stack."""
+    result = (vectors * values[..., None, :]) @ adjoint(vectors)
+    return 0.5 * (result + adjoint(result))
+
+
 def psd_clamp(eigenvalues: np.ndarray):
     """Rounding allowance below zero for a PSD spectrum (per row): 1e-9 * (1 + max|lambda|)."""
     return PSD_CLAMP_REL * (1.0 + np.abs(eigenvalues).max(axis=-1))
@@ -257,9 +266,7 @@ def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
     """
     eig = hermitian_eigen(matrix, name)
     require_window(eig.eigenvalues, 0.0, np.inf, name, error=NotPositiveSemidefinite)
-    powered = np.clip(eig.eigenvalues, 0.0, None) ** exponent
-    result = (eig.eigenvectors * powered[..., None, :]) @ adjoint(eig.eigenvectors)
-    return 0.5 * (result + adjoint(result))
+    return spectral(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None) ** exponent)
 
 
 def psd_sqrt(matrix, name: str = "matrix") -> np.ndarray:
@@ -276,8 +283,7 @@ def polar_decompose(matrix) -> PolarDecomposition:
     than anything canonical.
     """
     left, values, right_h = np.linalg.svd(as_matrices(matrix))
-    mod = (adjoint(right_h) * values[..., None, :]) @ right_h
-    return PolarDecomposition(left @ right_h, 0.5 * (mod + adjoint(mod)), values)
+    return PolarDecomposition(left @ right_h, spectral(adjoint(right_h), values), values)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +291,12 @@ def polar_decompose(matrix) -> PolarDecomposition:
 
 
 def is_positive_contraction(matrix, tol: float = HERMITIAN_TOL) -> bool:
-    """True when the matrix is Hermitian with spectrum inside [-tol, 1 + tol]."""
-    mat = as_square_matrix(matrix)
-    if hermitian_deviation(mat) > tol:
+    """True when the matrix passes :func:`require_spectrum` on [0, 1] with slack ``tol``."""
+    try:
+        require_spectrum(as_square_matrix(matrix), 0.0, 1.0, slack=tol)
+    except PreconditionError:
         return False
-    values = np.linalg.eigvalsh(0.5 * (mat + adjoint(mat)))
-    return bool(values[0] >= -tol and values[-1] <= 1.0 + tol)
+    return True
 
 
 def require_window(

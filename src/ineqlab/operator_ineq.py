@@ -15,6 +15,8 @@ counterexample can be reproduced as a genuine violation.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from .chains import ChainBatch, ToleranceConfig, chain_batch, kernel
@@ -23,6 +25,7 @@ from .linalg import (
     HERMITIAN_TOL,
     adjoint,
     as_matrices,
+    hermitian_eigen,
     hermitian_norm,
     inner,
     matvec,
@@ -30,26 +33,28 @@ from .linalg import (
     operator_norm,
     polar_decompose,
     psd_power,
-    psd_sqrt,
     require_positive_semidefinite,
     require_same_length,
     require_spectrum,
+    require_window,
     row_norms,
+    spectral,
     vector_pair,
 )
 from .radius import RadiusResult, numerical_radius
 
 
 def _as_power(power) -> float:
-    """Exponent for the power-inequality checks; only r >= 1 is covered."""
-    r = float(power)
-    if not (r >= 1.0):
-        raise InvalidInput(f"power exponent must satisfy r >= 1, got {r}")
-    return r
+    """Exponent for the power-inequality checks: a finite real r >= 1 (not a
+    bool or a string); r = inf would pass vacuously, as omega^inf = 0 below 1."""
+    if isinstance(power, bool) or not isinstance(power, Real) or not 1.0 <= power < np.inf:
+        raise InvalidInput(f"power exponent must be a finite real r >= 1, got {power!r}")
+    return float(power)
 
 
-def _require_positive_contraction(matrix, name: str = "A") -> np.ndarray:
-    return require_spectrum(matrix, 0.0, 1.0, name, slack=HERMITIAN_TOL)[0]
+def _require_positive_contraction(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """A, symmetrized, and its spectrum, inside [0, 1] up to HERMITIAN_TOL."""
+    return require_spectrum(matrix, 0.0, 1.0, "A", slack=HERMITIAN_TOL)
 
 
 def _require_nonzero(matrix: np.ndarray, name: str = "A") -> np.ndarray:
@@ -85,7 +90,7 @@ def lemma_2A_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBa
 def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Gap bound for a positive contraction: the Cauchy-Schwarz defect of
     A - A^2 is at most a quarter of the defect of the identity."""
-    sym, spectrum = require_spectrum(A, 0.0, 1.0, "A", slack=HERMITIAN_TOL)
+    sym, spectrum = _require_positive_contraction(A)
     xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     gap = sym - sym @ sym
     # The window lets the spectrum leave [0, 1] by HERMITIAN_TOL, more than
@@ -94,8 +99,7 @@ def theorem_gap_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> Chai
     if outside.any():
         values, vectors = np.linalg.eigh(sym)
         clipped = np.clip(values, 0.0, 1.0)
-        inside_gap = (vectors * (clipped - clipped**2)[..., None, :]) @ adjoint(vectors)
-        gap = np.where(outside[..., None, None], inside_gap, gap)
+        gap = np.where(outside[..., None, None], spectral(vectors, clipped - clipped**2), gap)
     middle = np.sqrt(_quad_form(gap, xv) * _quad_form(gap, yv)) - modulus(inner(matvec(gap, xv), yv))
     cap = (nx * ny - modulus(inner(xv, yv))) / 4.0
     terms = [("zero", np.zeros(np.shape(middle))), ("gap_defect", middle), ("quarter_cs_defect", cap)]
@@ -108,7 +112,7 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
     Unscaled form requires a positive contraction; the scaled form accepts
     any nonzero PSD operator and divides its contribution by ||A||.
     """
-    sym, denom = _require_nonzero_psd(A) if scaled else (_require_positive_contraction(A, "A"), 1.0)
+    sym, denom = _require_nonzero_psd(A) if scaled else (_require_positive_contraction(A)[0], 1.0)
     xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     radical = np.sqrt(_quad_form(sym, xv) * _quad_form(sym, yv))
     lhs = modulus(inner(xv, yv)) + (radical - modulus(inner(matvec(sym, xv), yv))) / denom
@@ -118,7 +122,7 @@ def corollary33_batch(A, x, y, scaled: bool = False, tolerance: ToleranceConfig 
 
 def corollary35_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Buzano-type bound for a positive contraction in the middle slot."""
-    sym = _require_positive_contraction(A, "A")
+    sym, _ = _require_positive_contraction(A)
     xv, yv, nx, ny = vector_pair(x, y, sym, "A")
     lhs = modulus(inner(matvec(sym, xv), yv))
     rhs = 0.5 * (nx * ny + modulus(inner(xv, yv)))
@@ -195,7 +199,7 @@ def corollary37_batch(A, B, tolerance: ToleranceConfig | None = None) -> ChainBa
 
 
 def _require_triple(A, S, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sym_a = _require_positive_contraction(A, "A")
+    sym_a, _ = _require_positive_contraction(A)
     mat_s = as_matrices(S, "S")
     mat_t = as_matrices(T, "T")
     require_same_length(("A", sym_a), ("S", mat_s), ("T", mat_t))
@@ -265,25 +269,26 @@ def contraction_builder(A) -> np.ndarray:
     Requires A Hermitian with spectrum in [0, 1/4]; returns the branch
     B = (I + sqrt(I - 4A))/2, whose spectrum lies in [1/2, 1].
     """
-    sym, _ = require_spectrum(A, 0.0, 0.25, "A")
-    eye = np.eye(sym.shape[-1], dtype=np.complex128)
-    root = psd_sqrt(eye - 4.0 * sym, "I - 4A")
-    return 0.5 * (eye + root)
+    eig = hermitian_eigen(A, "A")
+    require_window(eig.eigenvalues, 0.0, 0.25, "A")
+    root = np.sqrt(np.clip(1.0 - 4.0 * eig.eigenvalues, 0.0, None))  # the window admits 1/4 + rounding
+    return spectral(eig.eigenvectors, 0.5 * (1.0 + root))
 
 
 def final_omega_refinement_batch(T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Refinement chain between omega(T) and ||T||.
 
     With T = U |T| and R = |T|^{1/2}, the numerical radius of the half-rotated
-    factor U R interpolates:
+    factor U R interpolates.  One SVD T = L S R* gives U = L R* and
+    |T|^{1/2} = R S^{1/2} R*, so U |T|^{1/2} = L S^{1/2} R*:
 
     omega(T) <= (||T|| + ||T||^{1/2} omega(UR))/2
             <= (||T|| + ||T||^{1/2} ||UR||)/2
             <= (||T|| + ||T||^{1/2} ||U|| ||T||^{1/2})/2 <= ||T||,  with ||U|| = 1.
     """
     mat = as_matrices(T, "T")
-    polar = polar_decompose(mat)
-    radius_t, radius_ur = _radius_pair(mat, polar.unitary @ psd_sqrt(polar.modulus, "|T|"))
+    left, s, right_h = np.linalg.svd(mat)
+    radius_t, radius_ur = _radius_pair(mat, (left * np.sqrt(s)[..., None, :]) @ right_h)
     norm_t = radius_t.norm
     sqrt_norm = np.sqrt(norm_t)
     terms = [

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import door
-from .ensembles import MAX_DIM
+from .ensembles import MAX_DIM, as_integer, as_integers
 from .errors import InvalidInput
 from .linalg import adjoint, as_matrices, inner, matvec, modulus, operator_norm, row_norms
 from .prng import Stream, mix64
@@ -288,11 +288,12 @@ def numerical_radius_sampling_oracle(matrix, samples: int, seed):
     draws from the process's table (see the module docstring).
     """
     mats = as_matrices(matrix)
-    if samples < 1:
+    if (samples := as_integer(samples, "samples")) < 1:
         raise InvalidInput(f"samples must be at least 1, got {samples}")
     stack = mats.reshape(-1, *mats.shape[-2:])
     trials, n = stack.shape[:2]
-    seeds = np.asarray(seed if isinstance(seed, np.ndarray) else int(seed) % 2**64, dtype=np.uint64)
+    seed = as_integers(seed, "seed")
+    seeds = np.asarray(seed if isinstance(seed, np.ndarray) else seed % 2**64, dtype=np.uint64)
     table = None
     if seeds.ndim == 0 and samples * n <= ORACLE_TABLE_ENTRIES:
         table = _seed_table(int(seeds), samples * n)

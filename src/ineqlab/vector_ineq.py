@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import AngleResult, ChainBatch, ToleranceConfig, chain_batch, door, kernel
+from .ensembles import as_integer
 from .errors import InvalidInput
 from .linalg import (
     as_matrices,
@@ -101,7 +102,7 @@ def psi_infimum_batch(x, y, grid: int = PSI_GRID, tolerance: ToleranceConfig | N
     three-phase minimum can sit a few ulps above the full-grid one.
     """
     u, w = _units(("x", x), ("y", y))
-    if grid < 8:
+    if (grid := as_integer(grid, "grid")) < 8:
         raise InvalidInput(f"grid must be at least 8, got {grid}")
     # Grid phases k-1, k, k+1 around the one nearest -arg<u, w>.
     turn = np.rint(np.angle(inner(u, w)) * (-grid / (2.0 * np.pi)))

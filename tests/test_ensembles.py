@@ -44,6 +44,12 @@ def test_trial_index_range_enforced():
         trial_stream(cfg, 5)
     with pytest.raises(InvalidInput):
         trial_stream(cfg, -1)
+    for index in (1.5, True, np.float64(1.0), np.array([0.0, 1.5]), np.array([True, False]), "1"):
+        with pytest.raises(InvalidInput, match="^trial_index must be an integer$"):
+            trial_stream(cfg, index)
+    for index in (np.int64(4), np.array(4, dtype=np.uint8)):
+        assert trial_stream(cfg, index).keys == trial_stream(cfg, 4).keys
+    assert (trial_stream(cfg, np.arange(5, dtype=np.uint64)).keys == trial_stream(cfg, np.arange(5)).keys).all()
 
 
 def test_bitwise_reproducibility():

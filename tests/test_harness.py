@@ -95,6 +95,9 @@ def test_run_suite_rejects_unknown_and_mismatched():
         run_suite("theorem_gap", ensemble)
     with pytest.raises(errors.InvalidInput):
         run_suite("buzano", ensemble, jobs=0)
+    for jobs in (1.5, True, "2", None):
+        with pytest.raises(errors.InvalidInput, match="^jobs must be an integer$"):
+            run_suite("buzano", ensemble, jobs=jobs)
 
 
 def test_counterexample_suite_reproduces_violation():

@@ -14,7 +14,7 @@ from ineqlab.chains import ToleranceConfig  # noqa: E402
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream  # noqa: E402
 from ineqlab.errors import IneqLabError  # noqa: E402
 from ineqlab.harness import REGISTRY  # noqa: E402
-from ineqlab.linalg import polar_decompose, psd_power, psd_sqrt  # noqa: E402
+from ineqlab.linalg import psd_power  # noqa: E402
 from ineqlab.radius import numerical_radius, numerical_radius_sampling_oracle  # noqa: E402
 
 OMEGA_SUITES = [
@@ -82,8 +82,8 @@ def _power(a, s, t, power):
 
 
 def _final_omega_refinement(t):
-    polar = polar_decompose(t)
-    whole, rotated = numerical_radius(t), numerical_radius(polar.unitary @ psd_sqrt(polar.modulus))
+    left, s, right_h = np.linalg.svd(t)
+    whole, rotated = numerical_radius(t), numerical_radius((left * np.sqrt(s)) @ right_h)  # U|T|^{1/2} = L S^{1/2} R*
     root = float(np.sqrt(whole.norm))
     return [
         whole.omega,

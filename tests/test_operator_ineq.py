@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ineqlab import errors
+from ineqlab import errors, operator_ineq
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
-from ineqlab.linalg import is_positive_contraction, operator_norm
+from ineqlab.linalg import is_positive_contraction, operator_norm, polar_decompose, psd_sqrt
 from ineqlab.operator_ineq import (
     bourin_property,
     contraction_builder,
@@ -302,6 +302,14 @@ def test_power_rejects_small_exponent():
         power_chain(np.eye(2), np.eye(2), np.eye(2), 0.5)
     with pytest.raises(errors.InvalidInput):
         bourin_property(np.eye(2), np.eye(2), 0.99)
+    # Not a finite real number: inf would pass vacuously (omega(0.5 I)^inf = 0),
+    # True would run as r = 1, and "2" as r = 2.
+    for power in (np.inf, np.nan, True, "2", 2j, None):
+        with pytest.raises(errors.InvalidInput, match="power exponent must be a finite real r >= 1"):
+            power_chain(0.5 * np.eye(2), np.eye(2), np.eye(2), power)
+        with pytest.raises(errors.InvalidInput, match="power exponent must be a finite real r >= 1"):
+            bourin_property(np.eye(2), np.eye(2), power)
+    assert power_chain(0.5 * np.eye(2), np.eye(2), np.eye(2), np.int64(2)).check_name == "power_r2"
 
 
 def test_bourin_property():
@@ -363,27 +371,28 @@ def test_contraction_builder_rejects_bad_spectrum():
 
 
 BIG = 1e200 * np.eye(2)
+PRODUCT_OVERFLOWS = "contains NaN or infinite entries"
 
 
 @pytest.mark.parametrize(
-    "chain, inputs",
+    "chain, inputs, message",
     [
-        (corollary37_chain, (BIG, BIG)),
-        (corollary38_omega_chain, (np.eye(2), BIG, BIG)),
-        (corollary38_norm_chain, (np.eye(2), BIG, BIG)),
-        (lambda *m: power_chain(*m, power=2.0), (np.eye(2), BIG, BIG)),
-        (lambda *m: bourin_property(*m, power=2.0), (BIG, BIG)),
-        # |T| overflows only when its symmetrization (|T| + |T|*)/2 sums past the largest float.
-        (final_omega_refinement_chain, (1e308 * np.eye(2),)),
+        (corollary37_chain, (BIG, BIG), PRODUCT_OVERFLOWS),
+        (corollary38_omega_chain, (np.eye(2), BIG, BIG), PRODUCT_OVERFLOWS),
+        (corollary38_norm_chain, (np.eye(2), BIG, BIG), PRODUCT_OVERFLOWS),
+        (lambda *m: power_chain(*m, power=2.0), (np.eye(2), BIG, BIG), PRODUCT_OVERFLOWS),
+        (lambda *m: bourin_property(*m, power=2.0), (BIG, BIG), PRODUCT_OVERFLOWS),
+        # U|T|^{1/2} = 1e154 I is finite; ||T|| + ||T||^{1/2} omega(U|T|^{1/2}) sums past the largest float.
+        (final_omega_refinement_chain, (1e308 * np.eye(2),), "term 'half_rotated_omega' is not finite"),
     ],
     ids=["corollary37", "corollary38_omega", "corollary38_norm", "power_r2", "bourin_r2", "final_omega_refinement"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs):
+def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs, message):
     # The finiteness check on each product a kernel builds is the guard here:
     # without it the overflowed product reaches LAPACK, which can raise
     # LinAlgError (SVD did not converge), or a term comes out non-finite.
-    with pytest.raises(errors.InvalidInput, match="contains NaN or infinite entries"):
+    with pytest.raises(errors.InvalidInput, match=message):
         chain(*inputs)
 
 
@@ -445,6 +454,38 @@ def test_final_omega_refinement_zero_matrix():
     chain = final_omega_refinement_chain(np.zeros((2, 2)))
     assert chain.values == pytest.approx([0.0] * 5, abs=1e-15)
     assert chain.passed
+
+
+def _ginibre(dim, seed):
+    return draw("ginibre", trial_stream(EnsembleConfig("ginibre", dim, seed, 1), 0), dim)
+
+
+def _dropped_column(dim, seed):
+    t = _ginibre(dim, seed)
+    t[:, -1] = 0.0
+    return t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("make", [_ginibre, lambda dim, seed: np.zeros((dim, dim)), _dropped_column],
+                         ids=["ginibre", "zero", "rank_deficient"])
+def test_final_omega_refinement_half_rotated_factor_is_polar_times_root(monkeypatch, make, dim):
+    # The kernel reads U|T|^{1/2} = L S^{1/2} R* off T's one SVD; the long way
+    # round is the polar unitary times the PSD root of the polar modulus.  An
+    # exact zero singular value keeps the two within rounding; one at rounding
+    # level (a rank-one product) would not, since either route roots it to ~1e-8.
+    seen, pair = [], operator_ineq._radius_pair
+
+    def recording(first, second):
+        seen.append(second)
+        return pair(first, second)
+
+    monkeypatch.setattr(operator_ineq, "_radius_pair", recording)
+    t = make(dim, 60 + dim)
+    final_omega_refinement_chain(t)
+    polar = polar_decompose(t)
+    long_way = polar.unitary @ psd_sqrt(polar.modulus)
+    assert np.abs(seen[0] - long_way).max() <= 1e-12 * max(1.0, np.abs(long_way).max())
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,14 @@ def test_sampling_oracle_converges_for_hermitian():
 def test_sampling_oracle_rejects_bad_sample_count():
     with pytest.raises(InvalidInput):
         numerical_radius_sampling_oracle(SHIFT, 0, seed=1)
+    for samples in (2.5, True, "8", None):
+        with pytest.raises(InvalidInput, match="^samples must be an integer$"):
+            numerical_radius_sampling_oracle(SHIFT, samples, 0)
+    for seed in (1.5, True, "1", np.array([1.0, 2.0]), np.array([True, False])):
+        with pytest.raises(InvalidInput, match="^seed must be an integer$"):
+            numerical_radius_sampling_oracle(np.stack([SHIFT, SHIFT]), 8, seed)
+    numpy_integers = numerical_radius_sampling_oracle(SHIFT, np.int64(8), np.uint64(3))
+    assert numpy_integers == numerical_radius_sampling_oracle(SHIFT, 8, 3)
 
 
 # ---------------------------------------------------------------------------

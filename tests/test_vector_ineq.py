@@ -312,6 +312,9 @@ def test_angles_of_a_vector_whose_norm_underflows():
 def test_psi_infimum_validates_grid():
     with pytest.raises(errors.InvalidInput):
         psi_infimum_property([1.0], [1.0], grid=4)
+    for grid in (360.5, 360.0, True, "360"):
+        with pytest.raises(errors.InvalidInput, match="^grid must be an integer$"):
+            psi_infimum_property([1.0], [1.0], grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,11 @@ Every tolerance test fails on a NaN, such as an overflowed product leaves.
 Every matrix rebuilt from a factorization, V diag(values) V*, is
 :func:`spectral`'s.
 
+Each operand gets only the spectral work its result reads: a norm is read
+off one ``eigvalsh`` (of a Gram matrix in :func:`operator_norm`), and an
+integer power of a PSD matrix is a product (:func:`psd_power`); only a
+fractional power takes ``eigh``.
+
 Checks and decompositions take one matrix (a batch of one) or a ``(trials,
 d, d)`` stack, exact per trial, and a failing stack raises its first failing
 trial's own error.  Vectors take the same shapes (:func:`vector_rows`), and
@@ -236,9 +241,19 @@ def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
 
 
 def operator_norm(matrix):
-    """Largest singular value: a float, or one per trial of a stack."""
+    """Largest singular value: a float, or one per trial of a stack.
+
+    2^k sqrt(lambda_max) of one ``eigvalsh`` of the Gram matrix of M / 2^k on
+    its smaller side, 2^k the power of two at M's largest real or imaginary
+    part, so the Gram neither overflows nor underflows; k is clipped to
+    [-1021, 1021], where 2^-k stays a normal float.
+    """
     mat = as_matrices(matrix, coerce=as_matrix)
-    top = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    largest = np.maximum(np.abs(mat.real).max(axis=(-2, -1)), np.abs(mat.imag).max(axis=(-2, -1)))
+    power = np.frexp(largest)[1].clip(-1021, 1021)
+    scaled = mat * np.ldexp(1.0, -power)[..., None, None]
+    gram = scaled @ adjoint(scaled) if mat.shape[-2] <= mat.shape[-1] else adjoint(scaled) @ scaled
+    top = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), power)
     return float(top) if mat.ndim == 2 else top
 
 
@@ -259,11 +274,17 @@ def psd_clamp(eigenvalues: np.ndarray):
 
 
 def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
-    """Spectral power M^exponent of a positive semidefinite Hermitian matrix.
+    """Power M^exponent of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in [-psd_clamp, 0) are set to zero; anything more negative
-    raises NotPositiveSemidefinite.
+    A spectrum below -psd_clamp raises NotPositiveSemidefinite.  A positive
+    integer exponent is the symmetrized product power of the symmetrized M,
+    whose window one ``eigvalsh`` decides (:func:`require_positive_semidefinite`).
+    Any other exponent takes one ``eigh``, sets eigenvalues in [-psd_clamp, 0)
+    to zero and rebuilds with :func:`spectral`.
     """
+    if exponent >= 1 and float(exponent).is_integer():
+        power = np.linalg.matrix_power(require_positive_semidefinite(matrix, name)[0], int(exponent))
+        return 0.5 * (power + adjoint(power))
     eig = hermitian_eigen(matrix, name)
     require_window(eig.eigenvalues, 0.0, np.inf, name, error=NotPositiveSemidefinite)
     return spectral(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None) ** exponent)

@@ -31,7 +31,6 @@ from .linalg import (
     matvec,
     modulus,
     operator_norm,
-    polar_decompose,
     psd_power,
     require_positive_semidefinite,
     require_same_length,
@@ -157,13 +156,14 @@ def remark36_polar_batch(A, x, y, tolerance: ToleranceConfig | None = None) -> C
 
     With A = U |A| the first inequality applies the PSD bound to |A| against
     the rotated pair (U* y stands in for y); the second uses ||U* y|| <= ||y||.
+    One SVD A = L S R* gives U = L R* and ||A|| = S_11; |A| is never formed.
     """
     mat = _require_nonzero(as_matrices(A, "A"))
     xv, yv, nx, ny = vector_pair(x, y, mat, "A")
-    polar = polar_decompose(mat)
-    half_norm = 0.5 * polar.singular_values[..., 0]
-    u_on_x = modulus(inner(matvec(polar.unitary, xv), yv))
-    rotated = row_norms(matvec(adjoint(polar.unitary), yv))
+    left, s, right_h = np.linalg.svd(mat)
+    unitary, half_norm = left @ right_h, 0.5 * s[..., 0]
+    u_on_x = modulus(inner(matvec(unitary, xv), yv))
+    rotated = row_norms(matvec(adjoint(unitary), yv))
     terms = [
         ("operator_inner_product", modulus(inner(matvec(mat, xv), yv))),
         ("polar_split_bound", half_norm * (u_on_x + nx * rotated)),
@@ -232,8 +232,8 @@ def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
 
     omega(S A T)^r <= (1/4) || |T|^{2r} + |S*|^{2r} || + (1/2) omega(S T)^r.
 
-    |X|^{2r} is computed by raising the eigenvalues of the PSD matrix X* X to
-    the power r, avoiding an intermediate square root.
+    |X|^{2r} is :func:`~ineqlab.linalg.psd_power` of the PSD matrix X* X at
+    r, a product power for an integer r, so no square root is taken.
     """
     r = _as_power(power)
     sym_a, mat_s, mat_t = _require_triple(A, S, T)

@@ -29,6 +29,7 @@ from ineqlab.linalg import (
     require_same_length,
     require_spectrum,
     require_window,
+    spectral,
     vector_from_json_dict,
     vector_rows,
     vector_to_json_dict,
@@ -265,6 +266,71 @@ def test_psd_power_matches_eigen_power():
     m = g.conj().T @ g
     cubed = psd_power(m, 3.0)
     assert np.max(np.abs(cubed - m @ m @ m)) < 1e-8 * (1 + np.max(np.abs(m)) ** 3)
+
+
+# Bounds measured on the inputs below over seeds 0-5 and then fixed: the Gram
+# norm sat within 1.5e-15 relative of the SVD's, and the product powers within
+# 2.9e-15 of the eigh rebuild, relative to ||M||^r.
+GRAM_NORM_REL = 4e-15
+PRODUCT_POWER_REL = 8e-15
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+def test_operator_norm_agrees_with_the_svd_on_ginibre_stacks(shape):
+    rng = np.random.default_rng(16)
+    for d in (1, 2, 3, 4, 5, 8, 13, 16, 32, 64):
+        rows, cols = {"square": (d, d), "tall": (2 * d + 1, d), "wide": (d, 2 * d + 1)}[shape]
+        g = random_complex(rng, 8, rows, cols) / np.sqrt(2.0)
+        reference = np.linalg.svd(g, compute_uv=False)[..., 0]
+        assert (np.abs(operator_norm(g) - reference) <= GRAM_NORM_REL * reference).all(), (shape, d)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_operator_norm_at_the_ends_of_float64():
+    for shape in ((1, 1), (2, 2), (3, 3), (2, 5), (5, 2)):
+        assert operator_norm(np.zeros(shape)) == 0.0
+        tiny = 5e-324 * np.ones(shape)  # the smallest subnormal: its Gram underflows unless scaled
+        assert operator_norm(tiny) == np.linalg.svd(tiny, compute_uv=False)[0]
+    assert operator_norm(5e-324 * np.ones((2, 2))) == 1e-323
+    assert operator_norm(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 8):
+        g = random_complex(rng, 6, d, d)
+        g /= np.maximum(np.abs(g.real), np.abs(g.imag)).max(axis=(-2, -1))[:, None, None]
+        for top in (1e300, 1e308, np.finfo(float).max):
+            big = np.concatenate([top * g, top * g.real, top * np.eye(d)[None]])
+            reference = np.linalg.svd(big, compute_uv=False)[..., 0]
+            finite = np.isfinite(reference)
+            with np.errstate(over="ignore"):  # where the SVD's norm overflows, so may this one
+                norm = operator_norm(big)
+            assert np.isfinite(norm[finite]).all(), (d, top)
+            assert (np.abs(norm[finite] - reference[finite]) <= GRAM_NORM_REL * reference[finite]).all()
+            operator_norm(big[finite])  # no warning where every norm is finite
+
+
+@pytest.mark.parametrize("family", ["psd", "positive_contraction"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_integer_psd_power_agrees_with_the_eigh_rebuild(family, r):
+    for d in (1, 2, 3, 4, 8, 16, 32):
+        m = draw(family, trial_stream(EnsembleConfig(family, d, 3, 8), np.arange(8)), d)
+        eig = hermitian_eigen(m)
+        rebuilt = spectral(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None) ** r)
+        error = np.abs(psd_power(m, r) - rebuilt).max(axis=(-2, -1))
+        assert (error <= PRODUCT_POWER_REL * np.abs(eig.eigenvalues).max(axis=-1) ** r).all(), d
+    assert psd_power(m, 1).tobytes() == require_positive_semidefinite(m)[0].tobytes()
+
+
+@pytest.mark.parametrize("r", [0.5, 2.5])
+def test_fractional_psd_power_is_the_eigh_rebuild_bit_for_bit(r):
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 7, 16):
+        m = psd_stack(rng, 6, n)
+        values, vectors = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+        values, vectors = np.clip(values[..., ::-1], 0.0, None) ** r, vectors[..., ::-1]
+        result = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+        expected = 0.5 * (result + result.conj().swapaxes(-1, -2))
+        assert psd_power(m, r).tobytes() == expected.tobytes()
+        assert psd_power(m[0], r).tobytes() == expected[0].tobytes()
 
 
 def test_modulus_and_polar():

@@ -7,6 +7,7 @@ import pytest
 
 from ineqlab import errors, operator_ineq
 from ineqlab.ensembles import EnsembleConfig, draw, trial_stream
+from ineqlab.harness import REGISTRY
 from ineqlab.linalg import is_positive_contraction, operator_norm, polar_decompose, psd_sqrt
 from ineqlab.operator_ineq import (
     bourin_property,
@@ -394,6 +395,38 @@ def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs
     # LinAlgError (SVD did not converge), or a term comes out non-finite.
     with pytest.raises(errors.InvalidInput, match=message):
         chain(*inputs)
+
+
+def _suite_draw(name, dim, seed):
+    spec = REGISTRY[name]
+    stream = trial_stream(EnsembleConfig(spec.family, dim, seed, 1), np.arange(1))
+    return [block[0] for block in spec.arranged([draw(family, stream, dim) for family in spec.draws])]
+
+
+@pytest.mark.parametrize(
+    "name, chain, scale, degree, rel",
+    [
+        ("corollary38_norm", corollary38_norm_chain, 1e150, 2, 1e-14),
+        # S A T near 1e-320 is subnormal, so only its leading digits survive.
+        ("corollary38_norm", corollary38_norm_chain, 1e-160, 2, 1e-3),
+        ("bourin_r2", lambda m, n: bourin_property(m, n, 2.0), 1e150, 2, 1e-14),
+    ],
+    ids=["corollary38_norm-1e150", "corollary38_norm-1e-160", "bourin_r2-1e150"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_chains_hold_on_operands_near_the_ends_of_float64(name, chain, scale, degree, rel):
+    # The norms' Gram matrices would overflow (1e300 squared) or underflow
+    # (1e-320 squared) unscaled; every term is still scale^degree times the
+    # unscaled one, and no warning is raised.
+    for dim in (1, 3, 8):
+        inputs = _suite_draw(name, dim, 19)
+        if name == "corollary38_norm":
+            scaled = chain(inputs[0], scale * inputs[1], scale * inputs[2])
+        else:
+            scaled = chain(*(scale * m for m in inputs))
+        assert scaled.passed
+        expected = np.array(chain(*inputs).values) * scale**degree
+        assert np.abs(np.array(scaled.values) - expected).max() <= rel * np.abs(expected).max()
 
 
 def test_a_stack_raises_its_first_failing_trials_error_whichever_input_fails():

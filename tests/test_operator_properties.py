@@ -52,7 +52,13 @@ def _quad(m, v):
 
 
 def _opnorm(m):
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    """The norm of any operand: 2^k sqrt(lambda_max) of the Gram matrix of
+    m / 2^k on its smaller side, 2^k the power of two at the largest real or
+    imaginary part."""
+    power = int(np.clip(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1], -1021, 1021))
+    scaled = m * 2.0**-power
+    gram = scaled @ scaled.conj().T if m.shape[0] <= m.shape[1] else scaled.conj().T @ scaled
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), power))
 
 
 def _hnorm(m):
@@ -61,10 +67,11 @@ def _hnorm(m):
 
 
 def _power(m, r):
-    values, vectors = np.linalg.eigh(_sym(m))
-    order = np.argsort(values)[::-1]
-    result = (vectors[:, order] * np.clip(values[order], 0.0, None) ** r) @ vectors[:, order].conj().T
-    return 0.5 * (result + result.conj().T)
+    """An integer power of a PSD operand: the symmetrized product of its symmetrized form."""
+    result = _sym(m)
+    for _ in range(int(r) - 1):
+        result = result @ _sym(m)
+    return _sym(result)
 
 
 def _lemma_2A(a, x, y):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import adjoint, row_norms, spectral
+from .linalg import adjoint, hermitian_part, row_norms, spectral
 from .prng import Stream, derive_key
 
 MAX_DIM = 64
@@ -80,8 +80,7 @@ def draw_ginibre(stream: Stream, dim: int) -> np.ndarray:
 
 def draw_hermitian(stream: Stream, dim: int) -> np.ndarray:
     """Hermitian part of one Ginibre draw."""
-    g = draw_ginibre(stream, dim)
-    return 0.5 * (g + adjoint(g))
+    return hermitian_part(draw_ginibre(stream, dim))
 
 
 def draw_psd(stream: Stream, dim: int) -> np.ndarray:
@@ -92,8 +91,7 @@ def draw_psd(stream: Stream, dim: int) -> np.ndarray:
     (0, 1], so the result is never the zero operator.
     """
     g = draw_ginibre(stream, dim)
-    w = adjoint(g) @ g
-    w = 0.5 * (w + adjoint(w))
+    w = hermitian_part(adjoint(g) @ g)
     top = np.linalg.eigvalsh(w)[:, -1]
     scale = 2.0 * stream.uniforms_open(1).reshape(-1)
     return w * (scale / top)[:, None, None]

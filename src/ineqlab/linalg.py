@@ -183,6 +183,11 @@ def adjoint(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().swapaxes(-1, -2)
 
 
+def hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of one matrix, or of each trial of a stack."""
+    return 0.5 * (matrix + adjoint(matrix))
+
+
 def hermitian_deviation(matrix: np.ndarray):
     """Largest entry of |M - M*|, per trial for a stack."""
     return np.abs(matrix - adjoint(matrix)).max(axis=(-2, -1))
@@ -226,7 +231,7 @@ def _symmetrized(matrix, name: str) -> np.ndarray:
     """(M + M*)/2 of a square M with max|M - M*| <= HERMITIAN_TOL."""
     mat = as_matrices(matrix, name)
     require_hermitian(mat, name)
-    return 0.5 * (mat + adjoint(mat))
+    return hermitian_part(mat)
 
 
 def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
@@ -240,17 +245,21 @@ def hermitian_eigen(matrix, name: str = "matrix") -> EigenDecomposition:
     return EigenDecomposition(values[..., ::-1], vectors[..., ::-1])
 
 
+def scale_exponent(values):
+    """The k of each value with value / 2^k in [1/2, 1), clipped to [-1021, 1021], where 2^-k stays a normal float."""
+    return np.frexp(values)[1].clip(-1021, 1021)
+
+
 def operator_norm(matrix):
     """Largest singular value: a float, or one per trial of a stack.
 
     2^k sqrt(lambda_max) of one ``eigvalsh`` of the Gram matrix of M / 2^k on
     its smaller side, 2^k the power of two at M's largest real or imaginary
-    part, so the Gram neither overflows nor underflows; k is clipped to
-    [-1021, 1021], where 2^-k stays a normal float.
+    part (:func:`scale_exponent`), so the Gram neither overflows nor underflows.
     """
     mat = as_matrices(matrix, coerce=as_matrix)
     largest = np.maximum(np.abs(mat.real).max(axis=(-2, -1)), np.abs(mat.imag).max(axis=(-2, -1)))
-    power = np.frexp(largest)[1].clip(-1021, 1021)
+    power = scale_exponent(largest)
     scaled = mat * np.ldexp(1.0, -power)[..., None, None]
     gram = scaled @ adjoint(scaled) if mat.shape[-2] <= mat.shape[-1] else adjoint(scaled) @ scaled
     top = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), power)
@@ -264,8 +273,7 @@ def hermitian_norm(matrix):
 
 def spectral(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Symmetrized V diag(values) V* of one matrix, or of each trial of a stack."""
-    result = (vectors * values[..., None, :]) @ adjoint(vectors)
-    return 0.5 * (result + adjoint(result))
+    return hermitian_part((vectors * values[..., None, :]) @ adjoint(vectors))
 
 
 def psd_clamp(eigenvalues: np.ndarray):
@@ -283,8 +291,7 @@ def psd_power(matrix, exponent: float, name: str = "matrix") -> np.ndarray:
     to zero and rebuilds with :func:`spectral`.
     """
     if exponent >= 1 and float(exponent).is_integer():
-        power = np.linalg.matrix_power(require_positive_semidefinite(matrix, name)[0], int(exponent))
-        return 0.5 * (power + adjoint(power))
+        return hermitian_part(np.linalg.matrix_power(require_positive_semidefinite(matrix, name)[0], int(exponent)))
     eig = hermitian_eigen(matrix, name)
     require_window(eig.eigenvalues, 0.0, np.inf, name, error=NotPositiveSemidefinite)
     return spectral(eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None) ** exponent)
@@ -312,7 +319,8 @@ def polar_decompose(matrix) -> PolarDecomposition:
 
 
 def is_positive_contraction(matrix, tol: float = HERMITIAN_TOL) -> bool:
-    """True when the matrix passes :func:`require_spectrum` on [0, 1] with slack ``tol``."""
+    """True when the matrix passes :func:`require_spectrum` on [0, 1] with slack ``tol``,
+    so it must be Hermitian to HERMITIAN_TOL whatever ``tol``."""
     try:
         require_spectrum(as_square_matrix(matrix), 0.0, 1.0, slack=tol)
     except PreconditionError:

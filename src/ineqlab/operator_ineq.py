@@ -188,7 +188,7 @@ def corollary37_batch(A, B, tolerance: ToleranceConfig | None = None) -> ChainBa
     mat_a = as_matrices(A, "A")
     sym_b, spectrum_b = require_positive_semidefinite(B, "B")
     require_same_length(("A", mat_a), ("B", sym_b))
-    radius_ab, radius_a = _radius_pair(mat_a @ sym_b, mat_a)
+    radius_ab, radius_a = _radius_pair(as_matrices(mat_a @ sym_b, "A B"), mat_a)
     norm_b = np.abs(spectrum_b).max(axis=-1)
     terms = [
         ("omega_product", radius_ab.omega),
@@ -212,8 +212,8 @@ def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -
     omega(S A T) <= (1/4) || |T|^2 + |S*|^2 || + (1/2) omega(S T).
     """
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
-    moduli = adjoint(mat_t) @ mat_t + mat_s @ adjoint(mat_s)
+    radius_sat, radius_st = _radius_pair(as_matrices(mat_s @ sym_a @ mat_t, "S A T"), as_matrices(mat_s @ mat_t, "S T"))
+    moduli = as_matrices(adjoint(mat_t) @ mat_t + mat_s @ adjoint(mat_s), "|T|^2 + |S*|^2")
     bound = 0.25 * hermitian_norm(moduli) + 0.5 * radius_st.omega
     terms = [("omega_sandwich", radius_sat.omega), ("moduli_plus_half_omega", bound)]
     return chain_batch("corollary38_omega", terms, tolerance, radii=(radius_sat, radius_st))
@@ -222,8 +222,8 @@ def corollary38_omega_batch(A, S, T, tolerance: ToleranceConfig | None = None) -
 def corollary38_norm_batch(A, S, T, tolerance: ToleranceConfig | None = None) -> ChainBatch:
     """Operator-norm companion bound: ||S A T|| <= (||T|| ||S|| + ||S T||)/2."""
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    lhs = operator_norm(mat_s @ sym_a @ mat_t)
-    rhs = 0.5 * (operator_norm(mat_t) * operator_norm(mat_s) + operator_norm(mat_s @ mat_t))
+    lhs = operator_norm(as_matrices(mat_s @ sym_a @ mat_t, "S A T"))
+    rhs = 0.5 * (operator_norm(mat_t) * operator_norm(mat_s) + operator_norm(as_matrices(mat_s @ mat_t, "S T")))
     return chain_batch("corollary38_norm", [("norm_sandwich", lhs), ("norm_split_bound", rhs)], tolerance)
 
 
@@ -237,12 +237,12 @@ def power_batch(A, S, T, power, tolerance: ToleranceConfig | None = None) -> Cha
     """
     r = _as_power(power)
     sym_a, mat_s, mat_t = _require_triple(A, S, T)
-    radius_sat, radius_st = _radius_pair(mat_s @ sym_a @ mat_t, mat_s @ mat_t)
+    radius_sat, radius_st = _radius_pair(as_matrices(mat_s @ sym_a @ mat_t, "S A T"), as_matrices(mat_s @ mat_t, "S T"))
     mod_t_2r = psd_power(adjoint(mat_t) @ mat_t, r, "T*T")
     mod_s_adj_2r = psd_power(mat_s @ adjoint(mat_s), r, "SS*")
     # Python's float power, row by row: with numpy's ** r, power_r3's row-equals-chain test fails.
     sat_r, st_r = (np.array([omega**r for omega in radius.omega.tolist()]) for radius in (radius_sat, radius_st))
-    bound = 0.25 * hermitian_norm(mod_t_2r + mod_s_adj_2r) + 0.5 * st_r
+    bound = 0.25 * hermitian_norm(as_matrices(mod_t_2r + mod_s_adj_2r, "|T|^{2r} + |S*|^{2r}")) + 0.5 * st_r
     terms = [("omega_sandwich_power", sat_r), ("moduli_power_bound", bound)]
     return chain_batch(f"power_r{r:g}", terms, tolerance, radii=(radius_sat, radius_st))
 
@@ -259,7 +259,7 @@ def bourin_batch(M, N, power, tolerance: ToleranceConfig | None = None) -> Chain
     require_same_length(("M", mat_m), ("N", mat_n))
     _, average = require_positive_semidefinite(0.5 * (mat_m + mat_n), "(M+N)/2")
     lhs = np.maximum(average[..., 0], 0.0) ** r
-    rhs = 0.5 * hermitian_norm(power_m + power_n)
+    rhs = 0.5 * hermitian_norm(as_matrices(power_m + power_n, "M^r + N^r"))
     return chain_batch(f"bourin_r{r:g}", [("power_of_average", lhs), ("average_of_powers", rhs)], tolerance)
 
 

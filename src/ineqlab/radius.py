@@ -14,7 +14,8 @@ angles, Newton steps on g polish theta, one ``eigh`` of H(theta) per step:
 g' = v1* H' v1 and g'' = -g + 2 sum_j |vj* H' v1|^2 / (g - lambda_j), with
 the bounded ascent step g'/||T|| where g'' >= 0.  omega is the largest g
 seen, or the attained |<T w, w>| of its top eigenvector w if that is larger,
-so it is a lower bound on w(T) that never overshoots, capped at ||T||.
+capped at ||T||: a lower bound on w(T) up to rounding, which can leave it a
+few ulps above w(T) (0.5000000000000001 for [[0, 1], [0, 0]], w = 1/2).
 
 A level r is an eigenvalue of H(theta) exactly when z = e^{i theta} is an
 eigenvalue of the quadratic pencil Q(z) = z^2 T - 2 r z I + T*, so one 2n x 2n
@@ -65,7 +66,9 @@ import numpy as np
 from .chains import door
 from .ensembles import MAX_DIM, as_integer, as_integers
 from .errors import InvalidInput
-from .linalg import adjoint, as_matrices, inner, matvec, modulus, operator_norm, row_norms
+from .linalg import (
+    adjoint, as_matrices, hermitian_part, inner, matvec, modulus, operator_norm, row_norms, scale_exponent,
+)
 from .prng import Stream, mix64
 
 # Complex entries (trials x samples x n) per sampling-oracle step, and per
@@ -96,9 +99,9 @@ _STEP_TOL = 1e-9
 
 @dataclass
 class RadiusResult:
-    """The radius estimate, its angle, a unit witness vector with |<T w, w>|
-    equal to omega up to rounding, the certified ``upper`` bound on w(T), and
-    ``norm`` = :func:`~ineqlab.linalg.operator_norm` of T; arrays over trials for a stack."""
+    """omega, a lower bound on w(T) up to rounding; its angle; a unit witness w
+    with |<T w, w>| = omega up to rounding; the certified ``upper`` bound on
+    w(T); and ``norm``, T's :func:`~ineqlab.linalg.operator_norm`; per trial for a stack."""
 
     omega: float
     argmax_angle: float
@@ -108,10 +111,7 @@ class RadiusResult:
 
 
 def _hermitian_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    adj = adjoint(matrix)
-    h0 = 0.5 * (matrix + adj)
-    k0 = 0.5j * (matrix - adj)
-    return h0, k0
+    return hermitian_part(matrix), 0.5j * (matrix - adjoint(matrix))
 
 
 def _angle_values(h0: np.ndarray, k0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -223,7 +223,7 @@ def numerical_radius(matrix) -> RadiusResult:
     stack = mats.reshape(-1, *mats.shape[-2:])
     norm = np.asarray(operator_norm(stack))
     # Past a norm of 2^±500 the polish's squares leave float64: scale by 2^-power (normal); other rows untouched.
-    power = np.where(np.abs(exponent := np.frexp(norm)[1]) > 500, exponent.clip(-1021, 1021), 0)
+    power = np.where(np.abs(exponent := scale_exponent(norm)) > 500, exponent, 0)
     stack = np.where(power[:, None, None] != 0, stack * np.ldexp(1.0, -power)[:, None, None], stack)
     scale, norm = np.ldexp(1.0, power), norm * np.ldexp(1.0, -power)
     omega, angle, start, upper = np.zeros(len(stack)), np.zeros(len(stack)), np.zeros(len(stack)), norm.copy()

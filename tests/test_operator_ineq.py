@@ -1,5 +1,6 @@
 """Operator inequality chains: fixed examples, preconditions, property loops."""
 
+import re
 import warnings
 
 import numpy as np
@@ -371,29 +372,43 @@ def test_contraction_builder_rejects_bad_spectrum():
         contraction_builder(SHIFT)
 
 
-BIG = 1e200 * np.eye(2)
-PRODUCT_OVERFLOWS = "contains NaN or infinite entries"
+HALF, BIG = 0.5 * np.eye(2), 1e200 * np.eye(2)
+
+
+def _overflows(product):
+    return f"{product}: contains NaN or infinite entries"
 
 
 @pytest.mark.parametrize(
     "chain, inputs, message",
     [
-        (corollary37_chain, (BIG, BIG), PRODUCT_OVERFLOWS),
-        (corollary38_omega_chain, (np.eye(2), BIG, BIG), PRODUCT_OVERFLOWS),
-        (corollary38_norm_chain, (np.eye(2), BIG, BIG), PRODUCT_OVERFLOWS),
-        (lambda *m: power_chain(*m, power=2.0), (np.eye(2), BIG, BIG), PRODUCT_OVERFLOWS),
-        (lambda *m: bourin_property(*m, power=2.0), (BIG, BIG), PRODUCT_OVERFLOWS),
+        (corollary37_chain, (BIG, BIG), _overflows("A B")),
+        (corollary38_omega_chain, (HALF, BIG, BIG), _overflows("S A T")),
+        (corollary38_omega_chain, (HALF, BIG, 1e-200 * np.eye(2)), _overflows("|T|^2 + |S*|^2")),
+        (corollary38_norm_chain, (HALF, BIG, BIG), _overflows("S A T")),
+        (corollary38_norm_chain, (np.zeros((2, 2)), BIG, BIG), _overflows("S T")),
+        (lambda *m: power_chain(*m, power=1.0), (HALF, BIG, BIG), _overflows("S A T")),
+        (lambda *m: power_chain(*m, power=2.0), (HALF, BIG, BIG), _overflows("S A T")),
+        (lambda *m: power_chain(*m, power=2.0), (HALF, 1e100 * np.eye(2), 1e-100 * np.eye(2)),
+         _overflows("|T|^{2r} + |S*|^{2r}")),
+        (lambda *m: power_chain(*m, power=3.0), (HALF, BIG, BIG), _overflows("S A T")),
+        (lambda *m: bourin_property(*m, power=2.0), (BIG, BIG), _overflows("M^r + N^r")),
         # U|T|^{1/2} = 1e154 I is finite; ||T|| + ||T||^{1/2} omega(U|T|^{1/2}) sums past the largest float.
-        (final_omega_refinement_chain, (1e308 * np.eye(2),), "term 'half_rotated_omega' is not finite"),
+        (final_omega_refinement_chain, (1e308 * np.eye(2),),
+         "final_omega_refinement: term 'half_rotated_omega' is not finite"),
     ],
-    ids=["corollary37", "corollary38_omega", "corollary38_norm", "power_r2", "bourin_r2", "final_omega_refinement"],
+    ids=[
+        "corollary37", "corollary38_omega", "corollary38_omega-moduli", "corollary38_norm", "corollary38_norm-ST",
+        "power_r1", "power_r2", "power_r2-moduli", "power_r3", "bourin_r2", "final_omega_refinement",
+    ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_finite_inputs_whose_products_overflow_raise_invalid_input(chain, inputs, message):
     # The finiteness check on each product a kernel builds is the guard here:
     # without it the overflowed product reaches LAPACK, which can raise
     # LinAlgError (SVD did not converge), or a term comes out non-finite.
-    with pytest.raises(errors.InvalidInput, match=message):
+    # The check names the product, so the message says which one left float64.
+    with pytest.raises(errors.InvalidInput, match=f"^{re.escape(message)}$"):
         chain(*inputs)
 
 

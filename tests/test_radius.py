@@ -521,6 +521,11 @@ def test_sampling_oracle_rejects_bad_sample_count():
 
 ORACLE_DIMS = [2, 3, 5, 8, 16, 32]
 ORACLE_TRIALS = 3
+# omega is a lower bound on w(T) only up to rounding: over 6,000 draws of each
+# construction below at dims 2-32 it exceeded the closed form by at most 8.8
+# eps relative (T^2 = 0; J_n 1.6, uv* 5.5, normal 5.4).  The allowance is 4x
+# that worst case taken as 9 eps; it is not to be loosened.
+OVERSHOOT_EPS = 36
 
 
 def haar_unitary(rng, n):
@@ -569,5 +574,6 @@ def test_radius_matches_closed_form_values(construction, n):
     floor = exact * (1.0 - 1e-14) if construction is normal else exact
     for omega, upper in [(stacked.omega, stacked.upper), ([r.omega for r in alone], [r.upper for r in alone])]:
         assert np.abs(np.asarray(omega) - exact).max() <= 1e-14 * exact.max()
+        assert (np.asarray(omega) <= exact * (1.0 + OVERSHOOT_EPS * np.finfo(float).eps)).all()
         assert (np.asarray(upper) >= floor).all()
         assert (np.asarray(upper) >= np.asarray(omega)).all()
